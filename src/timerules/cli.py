@@ -2,7 +2,8 @@
 
 Exit codes: 0 when a run completes (any verdict, including no-verdict),
 2 for usage errors, 3 for data errors. The TIMERULES_MAX_WORKERS
-environment variable caps how many workers the sweep may fan out to.
+environment variable caps how many workers the sweep may fan out to; the
+sweep never uses more workers than it has jobs or the machine has CPUs.
 """
 
 from __future__ import annotations
@@ -16,19 +17,29 @@ from pathlib import Path
 
 from .dataset import DataError, load_csv
 from .temporalise import TemporalisationSpec, temporalise
-from .verdict import RunSpec, run_timers
+from .verdict import RunSpec, rule_generator_run_count, run_timers
 from .worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("TIMERULES_MAX_WORKERS", "1")
+def worker_count(raw: str | None, jobs: int, cpus: int | None) -> tuple[int, str | None]:
+    """Workers for a sweep of `jobs` jobs, and a warning for an invalid cap.
+
+    `raw` is the TIMERULES_MAX_WORKERS value (None when unset). The
+    count is clamped to `min(cap, jobs, cpus)`; a cap that is not an
+    integer of at least 1 falls back to one worker with a warning.
+    """
+    if raw is None:
+        return 1, None
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return 1
+        cap = 0
+    if cap < 1:
+        return 1, f"ignoring TIMERULES_MAX_WORKERS={raw!r}: expected an integer >= 1"
+    return min(cap, jobs, cpus or 1), None
 
 
 def _add_analyze(subparsers) -> None:
@@ -168,7 +179,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     attributes = (
         list(data.attribute_names) if args.all_attributes else [args.decision]
     )
-    workers = _worker_count()
+    workers, warning = worker_count(
+        os.environ.get("TIMERULES_MAX_WORKERS"),
+        rule_generator_run_count(args.min_window, args.max_window),
+        os.cpu_count(),
+    )
+    if warning:
+        print(f"timerules: warning: {warning}", file=sys.stderr)
     for i, name in enumerate(attributes):
         spec = RunSpec(
             d=name,

@@ -8,6 +8,7 @@ time but poisons its record for any downstream analysis step.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
@@ -136,16 +137,21 @@ def _parse_number(token: str) -> int | float | None:
         return None
 
 
-def _infer_column(name: str, tokens: Sequence[str]) -> tuple[AttributeSchema, list[object]]:
+def _infer_column(
+    name: str, tokens: Sequence[str], where: str, first_line: int
+) -> tuple[AttributeSchema, list[object]]:
     observed = [t for t in tokens if t != MISSING_TOKEN]
     if not observed:
         raise DataError(f"column {name!r} has no observed values")
-    numbers = [_parse_number(t) for t in observed]
-    if all(v is not None for v in numbers):
-        values: list[object] = [
-            None if t == MISSING_TOKEN else _parse_number(t) for t in tokens
-        ]
-        return AttributeSchema(name, "numeric"), values
+    numbers = [None if t == MISSING_TOKEN else _parse_number(t) for t in tokens]
+    if numbers.count(None) == len(tokens) - len(observed):  # every cell parsed
+        for i, value in enumerate(numbers):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataError(
+                    f"{where}: row {first_line + i}, column {name!r}: "
+                    f"{tokens[i]!r} is not a finite number"
+                )
+        return AttributeSchema(name, "numeric"), numbers
     domain = tuple(dict.fromkeys(observed))
     values = [None if t == MISSING_TOKEN else t for t in tokens]
     return AttributeSchema(name, "discrete", domain), values
@@ -156,7 +162,9 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
 
     A column is typed numeric iff every non-missing cell parses as a
     number; otherwise it is discrete with its symbols collected in
-    first-appearance order. Row order is preserved as the temporal order.
+    first-appearance order. A numeric column may not hold `nan` or
+    `inf`: no threshold can order them. Row order is preserved as the
+    temporal order.
     """
     if header_mode not in ("first-row-names", "positional"):
         raise ValueError(f"unknown header_mode {header_mode!r}")
@@ -173,9 +181,10 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
         raise DataError(f"{path}: no data rows")
 
     width = len(names)
+    first_line = 2 if header_mode == "first-row-names" else 1
     for i, row in enumerate(data):
         if len(row) != width:
-            line = i + (2 if header_mode == "first-row-names" else 1)
+            line = i + first_line
             raise DataError(
                 f"{path}: row {line} has {len(row)} columns, expected {width}"
             )
@@ -183,7 +192,9 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
     columns = []
     typed: list[list[object]] = []
     for j, name in enumerate(names):
-        schema, values = _infer_column(name, [row[j].strip() for row in data])
+        schema, values = _infer_column(
+            name, [row[j].strip() for row in data], str(path), first_line
+        )
         columns.append(schema)
         typed.append(values)
     records = tuple(zip(*typed)) if typed else ()

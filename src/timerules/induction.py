@@ -6,6 +6,15 @@ carrying the node majority), numeric columns split at midpoints between
 consecutive observed values. Root-to-leaf paths are extracted as rules
 sharing one decision column; classification is first-match over that
 list with a global default class as fallback.
+
+The learner reads the training set's column views. Each column is coded
+once per `induce` as small-int pair codes, `value_code * C + class_code`
+for C classes, where a numeric value's code is its rank among the
+column's sorted distinct values (the presorting idea of C4.5 and
+SPRINT). A node counts its rows' pair codes per column in one pass and
+scores every candidate split from those counts alone; only the winning
+split builds its children's row lists. Evaluation routes row indices
+down the tree column by column instead of walking it once per record.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Mapping
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from .dataset import DataError
 from .temporalise import TemporalisedDataset, column_name
@@ -137,132 +147,197 @@ class _NumericSplit:
     high: object
 
 
-def _entropy(counts: Counter, total: int) -> float:
+def _entropy(counts: Iterable[int], total: int) -> float:
     h = 0.0
-    for c in counts.values():
+    for c in counts:
         p = c / total
         h -= p * math.log2(p)
     return h
 
 
-def _majority(counts: Counter, class_rank: dict) -> object:
-    best = max(counts.values())
-    return min(
-        (value for value, c in counts.items() if c == best),
-        key=lambda value: class_rank[value],
-    )
+@dataclass(frozen=True)
+class _Column:
+    """One training column with its (value, class) pair codes.
+
+    `pairs[i]` is `value_code * class_count + class_code` of row i; a
+    numeric value's code is its rank among the column's sorted distinct
+    values, so ascending codes are ascending values.
+    """
+
+    attribute: str
+    time: int
+    numeric: bool
+    domain: tuple[str, ...] | None
+    values: tuple[object, ...]
+    pairs: list[int]
 
 
 class _TreeBuilder:
+    """Gain-ratio tree growth over integer-coded training columns.
+
+    Classes are coded by their index in the decision domain, which is
+    also the majority tie-break order. Every column is coded once; a node
+    then counts its rows' pair codes in one pass per column.
+    """
+
     def __init__(self, train: TemporalisedDataset, min_leaf: int):
-        self.records = train.records
-        self.classes = [record[-1] for record in self.records]
+        self.classes = train.decision_schema.domain or ()
+        self.class_code = {symbol: k for k, symbol in enumerate(self.classes)}
+        self.class_codes = list(map(self.class_code.__getitem__, train.decisions))
         self.min_leaf = min_leaf
-        self.class_rank = {
-            symbol: i for i, symbol in enumerate(train.decision_schema.domain or ())
-        }
-        # column scan order fixes gain-ratio ties: lowest (attribute, time) wins
-        cols = []
-        for k, (attr, time) in enumerate(train.condition_columns):
+        width = len(self.classes)
+        columns = []
+        for (attr, time), values in zip(train.condition_columns, train.columns):
             schema = train.attribute(attr)
-            cols.append((attr, time, k, schema.kind, schema.domain))
-        cols.sort(key=lambda c: (c[0], c[1]))
-        self.columns = cols
+            numeric = schema.kind == "numeric"
+            distinct = sorted(set(values)) if numeric else dict.fromkeys(values)
+            base = {value: r * width for r, value in enumerate(distinct)}
+            pairs = list(map(add, map(base.__getitem__, values), self.class_codes))
+            columns.append(_Column(attr, time, numeric, schema.domain, values, pairs))
+        # column scan order fixes gain-ratio ties: lowest (attribute, time) wins
+        columns.sort(key=lambda c: (c.attribute, c.time))
+        self.columns = columns
+
+    def class_counts(self, indices: list[int]) -> Counter:
+        """Class-code counts in first-appearance order among `indices`."""
+        return Counter(map(self.class_codes.__getitem__, indices))
+
+    def majority(self, counts: Counter) -> object:
+        best = max(counts.values())
+        return self.classes[min(k for k, c in counts.items() if c == best)]
 
     def build(self, indices: list[int]):
-        counts = Counter(self.classes[i] for i in indices)
+        counts = self.class_counts(indices)
         if len(counts) == 1:
-            return _Leaf(next(iter(counts)))
+            return _Leaf(self.classes[next(iter(counts))])
         if len(indices) < self.min_leaf:
-            return _Leaf(_majority(counts, self.class_rank))
+            return _Leaf(self.majority(counts))
 
-        parent_entropy = _entropy(counts, len(indices))
-        best = self._best_split(indices, counts, parent_entropy)
+        best = self._best_split(indices, counts, _entropy(counts.values(), len(indices)))
         if best is None:
-            return _Leaf(_majority(counts, self.class_rank))
+            return _Leaf(self.majority(counts))
 
-        if best["kind"] == "discrete":
-            majority = _majority(counts, self.class_rank)
-            branches = {}
-            for symbol in best["domain"]:
-                group = best["groups"].get(symbol)
-                if group:
-                    branches[symbol] = self.build(group)
-                else:
-                    branches[symbol] = _Leaf(majority)
-            return _DiscreteSplit(best["attribute"], best["time"], branches)
-        return _NumericSplit(
-            best["attribute"],
-            best["time"],
-            best["threshold"],
-            self.build(best["low"]),
-            self.build(best["high"]),
-        )
+        column, cut = best
+        values = column.values
+        if column.numeric:
+            ordered = sorted(indices, key=values.__getitem__)
+            low, high = ordered[:cut], ordered[cut:]
+            return _NumericSplit(
+                column.attribute,
+                column.time,
+                (values[low[-1]] + values[high[0]]) / 2,
+                self.build(low),
+                self.build(high),
+            )
+        groups: dict = {}
+        for i in indices:
+            groups.setdefault(values[i], []).append(i)
+        majority = self.majority(counts)
+        branches = {
+            symbol: self.build(groups[symbol]) if symbol in groups else _Leaf(majority)
+            for symbol in column.domain
+        }
+        return _DiscreteSplit(column.attribute, column.time, branches)
 
     def _best_split(self, indices, counts, parent_entropy):
+        """The winning (column, cut) at this node, or None.
+
+        Floating-point terms are summed in the order a row-by-row scan
+        would produce: classes and discrete values in first-appearance
+        order within the node, numeric cuts in ascending value order, the
+        high side of a cut in the node's class order. `cut` is the number
+        of rows on the low side of a numeric split.
+        """
         total = len(indices)
+        width = len(self.classes)
         best = None
         best_key = (-1, -math.inf)  # (positive-gain flag, gain ratio)
-        for attr, time, k, kind, domain in self.columns:
-            if kind == "discrete":
-                groups: dict = {}
-                for i in indices:
-                    groups.setdefault(self.records[i][k], []).append(i)
-                if len(groups) < 2:
-                    continue
+        for column in self.columns:
+            by_value: dict = {}
+            for pair, c in Counter(map(column.pairs.__getitem__, indices)).items():
+                value, klass = divmod(pair, width)
+                group = by_value.get(value)
+                if group is None:
+                    by_value[value] = {klass: c}
+                else:
+                    group[klass] = c
+            if len(by_value) < 2:
+                continue
+            if not column.numeric:
                 children = 0.0
                 split_info = 0.0
-                for group in groups.values():
-                    p = len(group) / total
-                    children += p * _entropy(
-                        Counter(self.classes[i] for i in group), len(group)
-                    )
+                for group in by_value.values():
+                    size = sum(group.values())
+                    p = size / total
+                    children += p * _entropy(group.values(), size)
                     split_info -= p * math.log2(p)
                 gain = parent_entropy - children
-                ratio = gain / split_info
-                key = (1 if gain > _GAIN_EPS else 0, ratio)
+                key = (1 if gain > _GAIN_EPS else 0, gain / split_info)
                 if key > best_key:
                     best_key = key
-                    best = {
-                        "kind": "discrete",
-                        "attribute": attr,
-                        "time": time,
-                        "groups": groups,
-                        "domain": domain,
-                    }
-            else:
-                ordered = sorted(indices, key=lambda i: self.records[i][k])
-                low_counts: Counter = Counter()
-                for cut in range(1, total):
-                    i_prev, i_here = ordered[cut - 1], ordered[cut]
-                    low_counts[self.classes[i_prev]] += 1
-                    v_prev = self.records[i_prev][k]
-                    v_here = self.records[i_here][k]
-                    if v_prev == v_here:
-                        continue
-                    high_counts = counts - low_counts
-                    p_low = cut / total
-                    p_high = 1.0 - p_low
-                    children = p_low * _entropy(low_counts, cut) + p_high * _entropy(
-                        high_counts, total - cut
-                    )
-                    gain = parent_entropy - children
-                    split_info = -(
-                        p_low * math.log2(p_low) + p_high * math.log2(p_high)
-                    )
-                    ratio = gain / split_info
-                    key = (1 if gain > _GAIN_EPS else 0, ratio)
-                    if key > best_key:
-                        best_key = key
-                        best = {
-                            "kind": "numeric",
-                            "attribute": attr,
-                            "time": time,
-                            "threshold": (v_prev + v_here) / 2,
-                            "low": ordered[:cut],
-                            "high": ordered[cut:],
-                        }
+                    best = (column, None)
+                continue
+            low: dict = {}
+            cut = 0
+            for value in sorted(by_value)[:-1]:
+                for klass, c in by_value[value].items():
+                    low[klass] = low.get(klass, 0) + c
+                    cut += c
+                high = [c - low.get(k, 0) for k, c in counts.items()]
+                p_low = cut / total
+                p_high = 1.0 - p_low
+                children = p_low * _entropy(low.values(), cut) + p_high * _entropy(
+                    [c for c in high if c > 0], total - cut
+                )
+                gain = parent_entropy - children
+                split_info = -(p_low * math.log2(p_low) + p_high * math.log2(p_high))
+                key = (1 if gain > _GAIN_EPS else 0, gain / split_info)
+                if key > best_key:
+                    best_key = key
+                    best = (column, cut)
         return best
+
+
+def _children(node) -> list:
+    if isinstance(node, _DiscreteSplit):
+        return list(node.branches.values())
+    return [node.low, node.high]
+
+
+def _split_rows(node, column: Sequence, indices: list[int]):
+    """Rows per child of a split node, aligned with `_children(node)`.
+
+    Also returns the rows whose symbol has no branch.
+    """
+    if isinstance(node, _NumericSplit):
+        threshold = node.threshold
+        low: list[int] = []
+        high: list[int] = []
+        for i in indices:
+            (low if column[i] <= threshold else high).append(i)
+        return [low, high], []
+    parts: dict = {symbol: [] for symbol in node.branches}
+    stray: list[int] = []
+    for i in indices:
+        parts.get(column[i], stray).append(i)
+    return list(parts.values()), stray
+
+
+def _leaves(node, columns: Mapping, indices: list[int]):
+    """Yield (leaf value, rows reaching that leaf) for the rows `indices`.
+
+    `columns` maps (attribute, time) to a column; rows that leave the
+    covered space are yielded with value None.
+    """
+    if isinstance(node, _Leaf):
+        yield node.value, indices
+        return
+    parts, stray = _split_rows(node, columns[node.attribute, node.time], indices)
+    if stray:
+        yield None, stray
+    for child, part in zip(_children(node), parts):
+        if part:
+            yield from _leaves(child, columns, part)
 
 
 def _upper_error_bound(errors: int, n: int, z: float) -> float:
@@ -277,12 +352,8 @@ class _Pruner:
     """Bottom-up subtree replacement by pessimistic error estimates."""
 
     def __init__(self, builder: _TreeBuilder, confidence: float):
-        self.records = builder.records
-        self.classes = builder.classes
-        self.class_rank = builder.class_rank
-        self.positions = {
-            (attr, time): k for attr, time, k, _, _ in builder.columns
-        }
+        self.builder = builder
+        self.columns = {(c.attribute, c.time): c.values for c in builder.columns}
         self.z = NormalDist().inv_cdf(1.0 - confidence)
 
     def prune(self, node, indices):
@@ -290,39 +361,32 @@ class _Pruner:
         return pruned
 
     def _prune(self, node, indices):
-        counts = Counter(self.classes[i] for i in indices)
+        counts = self.builder.class_counts(indices)
         if isinstance(node, _Leaf):
-            errors = len(indices) - counts.get(node.value, 0)
             if not indices:
                 return node, 0.0
+            errors = len(indices) - counts.get(self.builder.class_code[node.value], 0)
             return node, len(indices) * _upper_error_bound(errors, len(indices), self.z)
 
+        parts, _ = _split_rows(node, self.columns[node.attribute, node.time], indices)
+        pruned = [self._prune(child, part) for child, part in zip(_children(node), parts)]
+        subtree_estimate = 0.0
+        for _, estimate in pruned:  # added in branch order; `sum` may round otherwise
+            subtree_estimate += estimate
         if isinstance(node, _DiscreteSplit):
-            k = self.positions[(node.attribute, node.time)]
-            groups: dict = {symbol: [] for symbol in node.branches}
-            for i in indices:
-                groups[self.records[i][k]].append(i)
-            subtree_estimate = 0.0
-            new_branches = {}
-            for symbol, child in node.branches.items():
-                new_child, estimate = self._prune(child, groups[symbol])
-                new_branches[symbol] = new_child
-                subtree_estimate += estimate
-            node = _DiscreteSplit(node.attribute, node.time, new_branches)
+            node = _DiscreteSplit(
+                node.attribute,
+                node.time,
+                dict(zip(node.branches, (child for child, _ in pruned))),
+            )
         else:
-            k = self.positions[(node.attribute, node.time)]
-            low = [i for i in indices if self.records[i][k] <= node.threshold]
-            high = [i for i in indices if self.records[i][k] > node.threshold]
-            new_low, low_estimate = self._prune(node.low, low)
-            new_high, high_estimate = self._prune(node.high, high)
-            subtree_estimate = low_estimate + high_estimate
             node = _NumericSplit(
-                node.attribute, node.time, node.threshold, new_low, new_high
+                node.attribute, node.time, node.threshold, pruned[0][0], pruned[1][0]
             )
 
         if indices:
-            majority = _majority(counts, self.class_rank)
-            leaf_errors = len(indices) - counts[majority]
+            majority = self.builder.majority(counts)
+            leaf_errors = len(indices) - counts[self.builder.class_code[majority]]
             leaf_estimate = len(indices) * _upper_error_bound(
                 leaf_errors, len(indices), self.z
             )
@@ -375,7 +439,7 @@ def induce(
     rules: list[Rule] = []
     d, pos = train.decision_column
     _extract_rules(tree, [], rules, d, pos)
-    default = _majority(Counter(builder.classes), builder.class_rank)
+    default = builder.majority(builder.class_counts(indices))
     return RuleSet(
         rules=tuple(rules),
         default_class=default,
@@ -385,27 +449,15 @@ def induce(
     )
 
 
-def _required_columns(rule_set: RuleSet) -> set[str]:
-    return {
-        condition.column
-        for rule in rule_set.rules
-        for condition in rule.conditions
-    }
+def _required_columns(rule_set: RuleSet) -> set[tuple[str, int]]:
+    """The (attribute, time) columns the rules test."""
+    return {(c.attribute, c.time) for rule in rule_set.rules for c in rule.conditions}
 
 
-def _traverse(node, lookup):
-    """Follow the tree; None means the record left the covered space."""
-    while not isinstance(node, _Leaf):
-        value = lookup(node.attribute, node.time)
-        if isinstance(node, _DiscreteSplit):
-            node = node.branches.get(value)
-            if node is None:
-                return None
-        elif value <= node.threshold:
-            node = node.low
-        else:
-            node = node.high
-    return node.value
+def _reject_missing_columns(required, available, where: str) -> None:
+    missing = sorted(column_name(a, t) for a, t in required if (a, t) not in available)
+    if missing:
+        raise DataError(f"{where} is missing tested column(s): {', '.join(missing)}")
 
 
 def _first_match(rule_set: RuleSet, record: Mapping[str, object]) -> object:
@@ -421,41 +473,32 @@ def classify(rule_set: RuleSet, record: Mapping[str, object]) -> object:
     The record maps column names like "x@t1" to values and must carry
     every column the rules test.
     """
-    missing = sorted(c for c in _required_columns(rule_set) if c not in record)
-    if missing:
-        raise DataError(f"record is missing tested column(s): {', '.join(missing)}")
-    if rule_set.tree is not None:
-        result = _traverse(
-            rule_set.tree, lambda a, t: record[column_name(a, t)]
-        )
-        return rule_set.default_class if result is None else result
-    return _first_match(rule_set, record)
+    names = {(a, t): column_name(a, t) for a, t in _required_columns(rule_set)}
+    columns = {key: (record[name],) for key, name in names.items() if name in record}
+    _reject_missing_columns(names, columns, "record")
+    if rule_set.tree is None:
+        return _first_match(rule_set, record)
+    ((value, _),) = _leaves(rule_set.tree, columns, [0])
+    return rule_set.default_class if value is None else value
 
 
 def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     """Fraction of records whose recorded decision the rule set reproduces."""
     if data.n == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    positions = {
-        column_name(attr, time): k
-        for k, (attr, time) in enumerate(data.condition_columns)
-    }
-    missing = sorted(c for c in _required_columns(rule_set) if c not in positions)
-    if missing:
-        raise DataError(f"dataset is missing tested column(s): {', '.join(missing)}")
+    columns = dict(zip(data.condition_columns, data.columns))
+    _reject_missing_columns(_required_columns(rule_set), columns, "dataset")
 
-    hits = 0
-    if rule_set.tree is not None:
-        for record in data.records:
-            result = _traverse(
-                rule_set.tree,
-                lambda a, t, r=record: r[positions[column_name(a, t)]],
-            )
-            predicted = rule_set.default_class if result is None else result
-            hits += predicted == record[-1]
-    else:
+    if rule_set.tree is None:
         names = [column_name(attr, time) for attr, time in data.condition_columns]
-        for record in data.records:
-            mapping = dict(zip(names, record))
-            hits += _first_match(rule_set, mapping) == record[-1]
+        hits = sum(
+            _first_match(rule_set, dict(zip(names, record))) == record[-1]
+            for record in data.records
+        )
+        return hits / data.n
+    decisions = data.decisions
+    hits = 0
+    for value, rows in _leaves(rule_set.tree, columns, list(range(data.n))):
+        predicted = rule_set.default_class if value is None else value
+        hits += list(map(decisions.__getitem__, rows)).count(predicted)
     return hits / data.n

@@ -9,12 +9,18 @@ preceding records, then the following records, then the decision value.
 
 Window size 1 is the degenerate instantaneous case: the original data,
 with every other attribute serving as a same-time condition.
+
+The flat records are held as column views, never built row by row: the
+column of attribute a at window time t is the slice of a's source
+column starting at source row t-1, so row i of it is source row i+t-1.
+Every (w, pos) of a sweep slices the same source columns.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .dataset import AttributeSchema, DataError, EventSequence, format_cell
@@ -54,27 +60,43 @@ def column_name(attribute: str, time: int) -> str:
 
 @dataclass(frozen=True)
 class TemporalisedDataset:
-    """Flat records with time-indexed columns and one decision value each.
+    """Time-indexed columns of flat records with one decision value each.
 
-    `condition_columns` lists (attribute, time) pairs aligned with the
-    leading fields of every record; the decision value is the last field.
-    `source_schema` is kept so downstream consumers can resolve a column's
-    kind and domain.
+    `columns[k]` holds condition column `condition_columns[k]` and
+    `decisions` the decision column, all of length `n`: row i of column
+    (attribute, t) is source row i+t-1. `records` joins them row-wise,
+    decision value last. `source_schema` is kept so downstream consumers
+    can resolve a column's kind and domain.
     """
 
     condition_columns: tuple[tuple[str, int], ...]
     decision_column: tuple[str, int]
-    records: tuple[tuple[object, ...], ...]
+    columns: tuple[tuple[object, ...], ...]
+    decisions: tuple[object, ...]
     provenance: TemporalisationSpec
     source_schema: tuple[AttributeSchema, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.columns) != len(self.condition_columns):
+            raise DataError(
+                f"{len(self.columns)} columns for "
+                f"{len(self.condition_columns)} condition columns"
+            )
+        if any(len(column) != self.n for column in self.columns):
+            raise DataError("every column must hold one value per decision")
+
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.decisions)
 
     @property
     def field_count(self) -> int:
         return len(self.condition_columns) + 1
+
+    @cached_property
+    def records(self) -> tuple[tuple[object, ...], ...]:
+        """Row-wise view: the condition values of each row, then its decision."""
+        return tuple(zip(*self.columns, self.decisions))
 
     def attribute(self, name: str) -> AttributeSchema:
         for a in self.source_schema:
@@ -85,9 +107,6 @@ class TemporalisedDataset:
     @property
     def decision_schema(self) -> AttributeSchema:
         return self.attribute(self.decision_column[0])
-
-    def decision_values(self) -> list[object]:
-        return [record[-1] for record in self.records]
 
     def to_csv(self, path: str | Path) -> None:
         """Debug dump with `attr@t<k>` headers, decision column last."""
@@ -110,9 +129,11 @@ def temporalised_record_count(n: int, w: int) -> int:
     return n - w + 1
 
 
-def _reject_missing(data: EventSequence) -> None:
+def _reject_missing(data: EventSequence, source: list[tuple[object, ...]]) -> None:
+    if not any(None in column for column in source):
+        return
     for i, record in enumerate(data.records):
-        if any(value is None for value in record):
+        if None in record:
             raise DataError(
                 f"record {i + 1} contains a missing value; "
                 "records with '?' cells cannot be temporalised"
@@ -120,38 +141,33 @@ def _reject_missing(data: EventSequence) -> None:
 
 
 def temporalise(spec: TemporalisationSpec, data: EventSequence) -> TemporalisedDataset:
-    """Merge every run of w consecutive records into one flat record."""
+    """Merge every run of w consecutive records into one flat record.
+
+    Each time-indexed column is one slice of a source column, so the
+    flat records are never built row by row.
+    """
     d_index = data.column_index(spec.d)
-    temporalised_record_count(data.n, spec.w)
-    _reject_missing(data)
+    n = temporalised_record_count(data.n, spec.w)
+    source = list(zip(*data.records))
+    _reject_missing(data, source)
 
     names = data.attribute_names
     if spec.w == 1:
-        condition_columns = tuple(
-            (name, 1) for name in names if name != spec.d
-        )
-        keep = [j for j, name in enumerate(names) if name != spec.d]
-        records = tuple(
-            tuple(record[j] for j in keep) + (record[d_index],)
-            for record in data.records
-        )
+        condition_columns = tuple((name, 1) for name in names if name != spec.d)
     else:
         times = [t for t in range(1, spec.w + 1) if t != spec.pos]
         condition_columns = tuple((name, t) for t in times for name in names)
-        records = tuple(
-            tuple(
-                value
-                for t in times
-                for value in data.records[i + t - 1]
-            )
-            + (data.records[i + spec.pos - 1][d_index],)
-            for i in range(data.n - spec.w + 1)
-        )
+    index = {name: j for j, name in enumerate(names)}
+    columns = tuple(
+        source[index[name]][t - 1 : t - 1 + n] for name, t in condition_columns
+    )
+    decisions = source[d_index][spec.pos - 1 : spec.pos - 1 + n]
 
     return TemporalisedDataset(
         condition_columns=condition_columns,
         decision_column=(spec.d, spec.pos),
-        records=records,
+        columns=columns,
+        decisions=decisions,
         provenance=spec,
         source_schema=data.schema,
     )

@@ -7,7 +7,11 @@ principles so the checks stay two-sided.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from statistics import NormalDist
+
+from timerules.induction import Condition, Rule
 
 
 def best_tree_correct_count(rows: list[tuple], n_attrs: int) -> int:
@@ -68,3 +72,222 @@ def definition_acausal(rule_set) -> bool:
         and all(t != t0 for t in times)
         and any(t > t0 for t in times)
     )
+
+
+# --- reference tree learner -------------------------------------------------
+#
+# A frozen, loop-based copy of the gain-ratio learner as it stood before
+# the library moved to integer-coded columns. It reads the row-wise
+# `records` view, regroups and re-sorts every column at every node and
+# counts classes with `Counter`s, so it shares no code path with the
+# library. The library must reproduce its trees bit for bit: the same
+# rules, the same thresholds and the same default class.
+
+_GAIN_EPS = 1e-12
+
+
+def _entropy(counts: Counter, total: int) -> float:
+    h = 0.0
+    for c in counts.values():
+        p = c / total
+        h -= p * math.log2(p)
+    return h
+
+
+def _majority(counts: Counter, class_rank: dict) -> object:
+    best = max(counts.values())
+    return min(
+        (value for value, c in counts.items() if c == best),
+        key=lambda value: class_rank[value],
+    )
+
+
+class ReferenceTree:
+    """Tree nodes are tuples: ("leaf", value), ("discrete", attr, time,
+    {symbol: node}) and ("numeric", attr, time, threshold, low, high)."""
+
+    def __init__(self, train, min_leaf: int = 1, prune_confidence: float | None = None):
+        self.records = train.records
+        self.classes = [record[-1] for record in self.records]
+        self.min_leaf = min_leaf
+        self.class_rank = {
+            symbol: i for i, symbol in enumerate(train.decision_schema.domain or ())
+        }
+        cols = []
+        for k, (attr, time) in enumerate(train.condition_columns):
+            schema = train.attribute(attr)
+            cols.append((attr, time, k, schema.kind, schema.domain))
+        cols.sort(key=lambda c: (c[0], c[1]))
+        self.columns = cols
+        self.positions = {(attr, time): k for attr, time, k, _, _ in cols}
+        self.decision_column = train.decision_column
+        indices = list(range(len(self.records)))
+        self.root = self._build(indices)
+        if prune_confidence is not None:
+            self.z = NormalDist().inv_cdf(1.0 - prune_confidence)
+            self.root, _ = self._prune(self.root, indices)
+        self.default = _majority(Counter(self.classes), self.class_rank)
+
+    def _build(self, indices):
+        counts = Counter(self.classes[i] for i in indices)
+        if len(counts) == 1:
+            return ("leaf", next(iter(counts)))
+        if len(indices) < self.min_leaf:
+            return ("leaf", _majority(counts, self.class_rank))
+        best = self._best_split(indices, counts, _entropy(counts, len(indices)))
+        if best is None:
+            return ("leaf", _majority(counts, self.class_rank))
+        if best["kind"] == "discrete":
+            majority = _majority(counts, self.class_rank)
+            branches = {}
+            for symbol in best["domain"]:
+                group = best["groups"].get(symbol)
+                branches[symbol] = self._build(group) if group else ("leaf", majority)
+            return ("discrete", best["attribute"], best["time"], branches)
+        return (
+            "numeric",
+            best["attribute"],
+            best["time"],
+            best["threshold"],
+            self._build(best["low"]),
+            self._build(best["high"]),
+        )
+
+    def _best_split(self, indices, counts, parent_entropy):
+        total = len(indices)
+        best = None
+        best_key = (-1, -math.inf)
+        for attr, time, k, kind, domain in self.columns:
+            if kind == "discrete":
+                groups: dict = {}
+                for i in indices:
+                    groups.setdefault(self.records[i][k], []).append(i)
+                if len(groups) < 2:
+                    continue
+                children = 0.0
+                split_info = 0.0
+                for group in groups.values():
+                    p = len(group) / total
+                    children += p * _entropy(
+                        Counter(self.classes[i] for i in group), len(group)
+                    )
+                    split_info -= p * math.log2(p)
+                gain = parent_entropy - children
+                key = (1 if gain > _GAIN_EPS else 0, gain / split_info)
+                if key > best_key:
+                    best_key = key
+                    best = {
+                        "kind": "discrete",
+                        "attribute": attr,
+                        "time": time,
+                        "groups": groups,
+                        "domain": domain,
+                    }
+            else:
+                ordered = sorted(indices, key=lambda i: self.records[i][k])
+                low_counts: Counter = Counter()
+                for cut in range(1, total):
+                    i_prev, i_here = ordered[cut - 1], ordered[cut]
+                    low_counts[self.classes[i_prev]] += 1
+                    v_prev = self.records[i_prev][k]
+                    v_here = self.records[i_here][k]
+                    if v_prev == v_here:
+                        continue
+                    high_counts = counts - low_counts
+                    p_low = cut / total
+                    p_high = 1.0 - p_low
+                    children = p_low * _entropy(low_counts, cut) + p_high * _entropy(
+                        high_counts, total - cut
+                    )
+                    gain = parent_entropy - children
+                    split_info = -(p_low * math.log2(p_low) + p_high * math.log2(p_high))
+                    key = (1 if gain > _GAIN_EPS else 0, gain / split_info)
+                    if key > best_key:
+                        best_key = key
+                        best = {
+                            "kind": "numeric",
+                            "attribute": attr,
+                            "time": time,
+                            "threshold": (v_prev + v_here) / 2,
+                            "low": ordered[:cut],
+                            "high": ordered[cut:],
+                        }
+        return best
+
+    def _prune(self, node, indices):
+        counts = Counter(self.classes[i] for i in indices)
+        if node[0] == "leaf":
+            if not indices:
+                return node, 0.0
+            errors = len(indices) - counts.get(node[1], 0)
+            return node, len(indices) * _upper_error_bound(errors, len(indices), self.z)
+        k = self.positions[(node[1], node[2])]
+        if node[0] == "discrete":
+            groups: dict = {symbol: [] for symbol in node[3]}
+            for i in indices:
+                groups[self.records[i][k]].append(i)
+            branches = {}
+            subtree_estimate = 0.0
+            for symbol, child in node[3].items():
+                branches[symbol], estimate = self._prune(child, groups[symbol])
+                subtree_estimate += estimate
+            node = ("discrete", node[1], node[2], branches)
+        else:
+            low = [i for i in indices if self.records[i][k] <= node[3]]
+            high = [i for i in indices if self.records[i][k] > node[3]]
+            new_low, low_estimate = self._prune(node[4], low)
+            new_high, high_estimate = self._prune(node[5], high)
+            subtree_estimate = low_estimate + high_estimate
+            node = ("numeric", node[1], node[2], node[3], new_low, new_high)
+        if indices:
+            majority = _majority(counts, self.class_rank)
+            leaf_errors = len(indices) - counts[majority]
+            leaf_estimate = len(indices) * _upper_error_bound(
+                leaf_errors, len(indices), self.z
+            )
+            if leaf_estimate <= subtree_estimate:
+                return ("leaf", majority), leaf_estimate
+        return node, subtree_estimate
+
+    def rule_lines(self) -> list[str]:
+        """Leaf-path rules in extraction order, rendered as `RuleSet.render` lines."""
+        decision_attribute, decision_time = self.decision_column
+        out: list[str] = []
+
+        def walk(node, path):
+            if node[0] == "leaf":
+                rule = Rule(tuple(path), decision_attribute, decision_time, node[1])
+                out.append(rule.render())
+            elif node[0] == "discrete":
+                for symbol, child in node[3].items():
+                    walk(child, path + [Condition(node[1], node[2], "=", symbol)])
+            else:
+                walk(node[4], path + [Condition(node[1], node[2], "<=", node[3])])
+                walk(node[5], path + [Condition(node[1], node[2], ">", node[3])])
+
+        walk(self.root, [])
+        return out
+
+    def accuracy(self, data) -> float:
+        """Fraction of `data.records` whose decision a root-to-leaf walk reproduces."""
+        positions = {column: k for k, column in enumerate(data.condition_columns)}
+        hits = 0
+        for record in data.records:
+            node = self.root
+            while node is not None and node[0] != "leaf":
+                value = record[positions[(node[1], node[2])]]
+                if node[0] == "discrete":
+                    node = node[3].get(value)
+                else:
+                    node = node[4] if value <= node[3] else node[5]
+            predicted = self.default if node is None else node[1]
+            hits += predicted == record[-1]
+        return hits / len(data.records)
+
+
+def _upper_error_bound(errors: int, n: int, z: float) -> float:
+    p = errors / n
+    denom = 1.0 + z * z / n
+    center = p + z * z / (2 * n)
+    margin = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n))
+    return (center + margin) / denom

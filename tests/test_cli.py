@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from timerules.cli import main
+from timerules.cli import main, worker_count
 from timerules.dataset import load_csv
 
 
@@ -159,6 +159,16 @@ class TestAnalyze:
         assert code == 0
         assert fallback == baseline
 
+    def test_invalid_worker_cap_warns(self, robot_csv, capsys, monkeypatch):
+        monkeypatch.setenv("TIMERULES_MAX_WORKERS", "0")
+        code, stdout, err = run(
+            capsys, "analyze", "--data", str(robot_csv), "--decision", "x",
+            "--max-window", "2",
+        )
+        assert code == 0
+        assert "the relation is p-causal" in stdout
+        assert "warning: ignoring TIMERULES_MAX_WORKERS='0'" in err
+
     def test_window_larger_than_data_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
         path.write_text("x,y\n1,a\n2,b\n3,a\n", encoding="utf-8")
@@ -208,3 +218,29 @@ class TestTemporaliseDump:
             "--window", "2", "--position", "3", "--out", str(tmp_path / "d.csv"),
         )
         assert code == 2
+
+
+class TestWorkerCount:
+    def test_unset_means_one_worker(self):
+        assert worker_count(None, jobs=15, cpus=8) == (1, None)
+
+    @pytest.mark.parametrize(
+        ("raw", "jobs", "cpus", "expected"),
+        [
+            ("1", 15, 8, 1),
+            ("2", 15, 8, 2),
+            ("64", 15, 8, 8),  # clamped to the CPU count
+            ("64", 3, 8, 3),  # clamped to the job count
+            ("1000000", 15, 2, 2),
+            ("4", 15, None, 1),  # unknown CPU count counts as one
+            (" 3 ", 15, 8, 3),
+        ],
+    )
+    def test_clamped_to_jobs_and_cpus(self, raw, jobs, cpus, expected):
+        assert worker_count(raw, jobs, cpus) == (expected, None)
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "not-a-number", "", "2.5"])
+    def test_invalid_values_warn_and_use_one_worker(self, raw):
+        count, warning = worker_count(raw, jobs=15, cpus=8)
+        assert count == 1
+        assert repr(raw) in warning

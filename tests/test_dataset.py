@@ -80,6 +80,21 @@ class TestLoadCsv:
         assert data.schema[0].kind == "numeric"
         assert data.records == ((1,), (2.5,))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_number_names_row_and_column(self, tmp_path, token):
+        path = write(tmp_path, f"x,y\n1,a\n2,b\n{token},a\n")
+        with pytest.raises(DataError, match=f"row 4, column 'x': '{token}'"):
+            load_csv(path)
+
+    def test_non_finite_row_number_without_header(self, tmp_path):
+        path = write(tmp_path, "1,inf\n2,3\n")
+        with pytest.raises(DataError, match="row 1, column 'a2'"):
+            load_csv(path, header_mode="positional")
+
+    def test_nan_symbol_in_discrete_column_is_a_symbol(self, tmp_path):
+        data = load_csv(write(tmp_path, "v\nnan\nlow\n"))
+        assert data.schema[0].domain == ("nan", "low")
+
     def test_unknown_header_mode(self, tmp_path):
         with pytest.raises(ValueError):
             load_csv(write(tmp_path, "1\n"), header_mode="sideways")

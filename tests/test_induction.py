@@ -1,6 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from timerules.dataset import AttributeSchema, DataError, EventSequence
 from timerules.induction import (
@@ -15,7 +18,12 @@ from timerules.induction import (
 from timerules.temporalise import TemporalisationSpec, column_name, temporalise
 from timerules.worlds import RobotWorldConfig, generate_robot_walk
 
-from oracles import best_tree_correct_count
+from oracles import ReferenceTree, best_tree_correct_count
+
+
+def empty_like(data):
+    """`data` with every column, and the decision column, cut to zero rows."""
+    return replace(data, columns=tuple(() for _ in data.columns), decisions=())
 
 
 def flat_table(rows, kinds=None, names=None):
@@ -70,13 +78,8 @@ class TestInduce:
 
     def test_empty_training_data(self):
         train = flat_table([("a", "yes")])
-        empty = type(train)(
-            condition_columns=train.condition_columns,
-            decision_column=train.decision_column,
-            records=(),
-            provenance=train.provenance,
-            source_schema=train.source_schema,
-        )
+        empty = empty_like(train)
+        assert empty.n == 0 and empty.records == ()
         with pytest.raises(DataError, match="empty training data"):
             induce(empty)
 
@@ -261,13 +264,8 @@ class TestEvaluate:
 
     def test_empty_dataset(self):
         train = flat_table([("a", "yes")])
-        empty = type(train)(
-            condition_columns=train.condition_columns,
-            decision_column=train.decision_column,
-            records=(),
-            provenance=train.provenance,
-            source_schema=train.source_schema,
-        )
+        empty = empty_like(train)
+        assert empty.n == 0 and empty.records == ()
         with pytest.raises(DataError, match="empty"):
             evaluate(induce(train), empty)
 
@@ -367,3 +365,94 @@ class TestPruning:
         rows = [(rng.choice("pqrs"), rng.choice("AB")) for _ in range(200)]
         pruned = induce(flat_table(rows), prune=True)
         assert pruned.size == 1
+
+
+NUMERIC_POOL = (-2, 0, 1, 1.0, 1.5, 2, 2.0, 3, 7.25, 10)
+SYMBOL_POOL = ("p", "q", "r")
+CLASS_POOL = ("A", "B", "C", "D")
+
+
+@st.composite
+def random_tables(draw):
+    """A training and a test sequence over one random schema, with its window.
+
+    Condition attributes mix discrete and numeric kinds; numeric cells
+    repeat and mix int and float (1 and 1.0 are equal values); the
+    decision attribute has three or four classes in a shuffled domain.
+    """
+    m = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(("discrete", "numeric")), min_size=m, max_size=m))
+    classes = draw(st.permutations(CLASS_POOL[: draw(st.integers(3, 4))]))
+    d_index = draw(st.integers(0, m))
+    schema = [
+        AttributeSchema(f"c{j}", "discrete", SYMBOL_POOL)
+        if kind == "discrete"
+        else AttributeSchema(f"c{j}", "numeric")
+        for j, kind in enumerate(kinds)
+    ]
+    schema.insert(d_index, AttributeSchema("k", "discrete", tuple(classes)))
+    cells = [
+        st.sampled_from(SYMBOL_POOL) if kind == "discrete" else st.sampled_from(NUMERIC_POOL)
+        for kind in kinds
+    ]
+    cells.insert(d_index, st.sampled_from(classes))
+    row = st.tuples(*cells)
+    train_rows = draw(st.lists(row, min_size=4, max_size=40))
+    assume(len({r[d_index] for r in train_rows}) >= 3)
+    test_rows = draw(st.lists(row, min_size=3, max_size=15))
+    w = draw(st.integers(1, 3))
+    pos = draw(st.integers(1, w))
+    spec = TemporalisationSpec(w=w, pos=pos, d="k")
+    train = EventSequence(schema=tuple(schema), records=tuple(train_rows))
+    test = EventSequence(schema=tuple(schema), records=tuple(test_rows))
+    return temporalise(spec, train), temporalise(spec, test)
+
+
+class TestReferenceAgreement:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(
+        tables=random_tables(),
+        min_leaf=st.integers(1, 4),
+        prune=st.booleans(),
+    )
+    def test_matches_loop_based_reference(self, tables, min_leaf, prune):
+        train, test = tables
+        rule_set = induce(train, min_leaf=min_leaf, prune=prune)
+        reference = ReferenceTree(train, min_leaf, 0.25 if prune else None)
+        assert rule_set.render() == "\n".join(reference.rule_lines())
+        assert rule_set.default_class == reference.default
+        assert evaluate(rule_set, train) == reference.accuracy(train)
+        assert evaluate(rule_set, test) == reference.accuracy(test)
+
+    def test_matches_reference_on_noise_tables(self):
+        # Noise grows deep trees full of near-tied gain ratios, where
+        # summing the same entropy terms in another order can flip a
+        # split; the library must add them in the reference's order.
+        schema = (
+            AttributeSchema("u", "discrete", ("p", "q", "r", "s")),
+            AttributeSchema("v", "discrete", ("p", "q", "r")),
+            AttributeSchema("x", "numeric"),
+            AttributeSchema("y", "numeric"),
+            AttributeSchema("k", "discrete", CLASS_POOL),
+        )
+        for seed in range(40):
+            rng = random.Random(seed)
+            records = tuple(
+                (
+                    rng.choice("pqrs"),
+                    rng.choice("pqr"),
+                    rng.choice((0, 1, 1.0, 2, 2.5, 3)),
+                    rng.randint(0, 9),
+                    rng.choice(CLASS_POOL),
+                )
+                for _ in range(200)
+            )
+            data = EventSequence(schema=schema, records=records)
+            for w, pos in ((1, 1), (2, 1), (2, 2), (3, 2)):
+                train = temporalise(TemporalisationSpec(w=w, pos=pos, d="k"), data)
+                reference = ReferenceTree(train)
+                assert induce(train).render() == "\n".join(reference.rule_lines())

@@ -1,6 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timerules.dataset import AttributeSchema, DataError, EventSequence, load_csv
 from timerules.temporalise import (
@@ -88,6 +91,13 @@ class TestWindowMerging:
         assert out.records[0] == (1, 2, 4, "true")
         assert out.records[2] == (6, 7, 8, "false")
 
+    def test_columns_must_match_decisions(self, four_records):
+        out = temporalise(TemporalisationSpec(w=3, pos=2, d="a4"), four_records)
+        with pytest.raises(DataError, match="one value per decision"):
+            replace(out, decisions=out.decisions[:-1])
+        with pytest.raises(DataError, match="condition columns"):
+            replace(out, columns=out.columns[:-1])
+
     def test_sequence_shorter_than_window(self, four_records):
         with pytest.raises(DataError, match="shorter than window"):
             temporalise(TemporalisationSpec(w=5, pos=1, d="a4"), four_records)
@@ -157,6 +167,45 @@ class TestProperties:
             out = temporalise(TemporalisationSpec(w=1, pos=1, d=d), data)
             assert out.n == n
             assert out.field_count == m
+
+
+def brute_force_windows(data, w, pos, d):
+    """Flat records by slicing each window of w source records directly."""
+    j = data.column_index(d)
+    rows = []
+    for i in range(data.n - w + 1):
+        window = data.records[i : i + w]
+        if w == 1:
+            conditions = tuple(v for k, v in enumerate(window[0]) if k != j)
+        else:
+            conditions = tuple(
+                v for t, record in enumerate(window, 1) if t != pos for v in record
+            )
+        rows.append(conditions + (window[pos - 1][j],))
+    return tuple(rows)
+
+
+@st.composite
+def sequences_and_specs(draw):
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 4))
+    data = random_sequence(random.Random(draw(st.integers(0, 2**32))), n, m)
+    w = draw(st.integers(1, n))
+    pos = draw(st.integers(1, w))
+    d = data.schema[draw(st.integers(0, m - 1))].name
+    return data, TemporalisationSpec(w=w, pos=pos, d=d)
+
+
+class TestBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(sequences_and_specs())
+    def test_records_equal_window_slicing(self, case):
+        data, spec = case
+        out = temporalise(spec, data)
+        expected = brute_force_windows(data, spec.w, spec.pos, spec.d)
+        assert out.records == expected
+        assert out.decisions == tuple(record[-1] for record in expected)
+        assert out.n == len(expected)
 
 
 class TestDump:
