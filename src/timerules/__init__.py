@@ -13,7 +13,6 @@ from .semantics import (
     RelationKind,
     classify_rule_set,
     declared_kind,
-    reclassify_outcome,
     simplicity_rank,
 )
 from .temporalise import (
@@ -30,7 +29,6 @@ from .verdict import (
     TestOutcome,
     VerdictReport,
     compute_accuracy_interval,
-    relation_type,
     rule_generator_run_count,
     run_timers,
     select_relation,
@@ -67,8 +65,6 @@ __all__ = [
     "generate_robot_walk",
     "induce",
     "load_csv",
-    "reclassify_outcome",
-    "relation_type",
     "rule_generator_run_count",
     "run_timers",
     "select_relation",

@@ -218,13 +218,18 @@ def split_chronological(data: EventSequence, test_count: int) -> tuple[EventSequ
 def as_discrete(data: EventSequence, name: str) -> EventSequence:
     """Reinterpret one attribute's values as discrete class labels.
 
-    Numeric values become their literal tokens; the domain keeps
+    Numeric values become the token of their first-seen spelling, so
+    equal values such as 1 and 1.0 share one class; the domain keeps
     first-appearance order. Already-discrete attributes pass through.
     """
     j = data.column_index(name)
     if data.schema[j].kind == "discrete":
         return data
-    tokens = [None if r[j] is None else format_cell(r[j]) for r in data.records]
+    first: dict = {}
+    tokens = [
+        None if r[j] is None else first.setdefault(r[j], format_cell(r[j]))
+        for r in data.records
+    ]
     observed = [t for t in tokens if t is not None]
     if not observed:
         raise DataError(f"column {name!r} has no observed values")

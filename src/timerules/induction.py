@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from statistics import NormalDist
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -180,11 +179,10 @@ class _TreeBuilder:
     then counts its rows' pair codes in one pass per column.
     """
 
-    def __init__(self, train: TemporalisedDataset, min_leaf: int):
+    def __init__(self, train: TemporalisedDataset):
         self.classes = train.decision_schema.domain or ()
-        self.class_code = {symbol: k for k, symbol in enumerate(self.classes)}
-        self.class_codes = list(map(self.class_code.__getitem__, train.decisions))
-        self.min_leaf = min_leaf
+        class_code = {symbol: k for k, symbol in enumerate(self.classes)}
+        self.class_codes = list(map(class_code.__getitem__, train.decisions))
         width = len(self.classes)
         columns = []
         for (attr, time), values in zip(train.condition_columns, train.columns):
@@ -210,8 +208,6 @@ class _TreeBuilder:
         counts = self.class_counts(indices)
         if len(counts) == 1:
             return _Leaf(self.classes[next(iter(counts))])
-        if len(indices) < self.min_leaf:
-            return _Leaf(self.majority(counts))
 
         best = self._best_split(indices, counts, _entropy(counts.values(), len(indices)))
         if best is None:
@@ -340,61 +336,6 @@ def _leaves(node, columns: Mapping, indices: list[int]):
             yield from _leaves(child, columns, part)
 
 
-def _upper_error_bound(errors: int, n: int, z: float) -> float:
-    p = errors / n
-    denom = 1.0 + z * z / n
-    center = p + z * z / (2 * n)
-    margin = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n))
-    return (center + margin) / denom
-
-
-class _Pruner:
-    """Bottom-up subtree replacement by pessimistic error estimates."""
-
-    def __init__(self, builder: _TreeBuilder, confidence: float):
-        self.builder = builder
-        self.columns = {(c.attribute, c.time): c.values for c in builder.columns}
-        self.z = NormalDist().inv_cdf(1.0 - confidence)
-
-    def prune(self, node, indices):
-        pruned, _ = self._prune(node, indices)
-        return pruned
-
-    def _prune(self, node, indices):
-        counts = self.builder.class_counts(indices)
-        if isinstance(node, _Leaf):
-            if not indices:
-                return node, 0.0
-            errors = len(indices) - counts.get(self.builder.class_code[node.value], 0)
-            return node, len(indices) * _upper_error_bound(errors, len(indices), self.z)
-
-        parts, _ = _split_rows(node, self.columns[node.attribute, node.time], indices)
-        pruned = [self._prune(child, part) for child, part in zip(_children(node), parts)]
-        subtree_estimate = 0.0
-        for _, estimate in pruned:  # added in branch order; `sum` may round otherwise
-            subtree_estimate += estimate
-        if isinstance(node, _DiscreteSplit):
-            node = _DiscreteSplit(
-                node.attribute,
-                node.time,
-                dict(zip(node.branches, (child for child, _ in pruned))),
-            )
-        else:
-            node = _NumericSplit(
-                node.attribute, node.time, node.threshold, pruned[0][0], pruned[1][0]
-            )
-
-        if indices:
-            majority = self.builder.majority(counts)
-            leaf_errors = len(indices) - counts[self.builder.class_code[majority]]
-            leaf_estimate = len(indices) * _upper_error_bound(
-                leaf_errors, len(indices), self.z
-            )
-            if leaf_estimate <= subtree_estimate:
-                return _Leaf(majority), leaf_estimate
-        return node, subtree_estimate
-
-
 def _extract_rules(node, path, out, decision_attribute, decision_time):
     if isinstance(node, _Leaf):
         out.append(
@@ -415,26 +356,17 @@ def _extract_rules(node, path, out, decision_attribute, decision_time):
     path.pop()
 
 
-def induce(
-    train: TemporalisedDataset,
-    min_leaf: int = 1,
-    prune: bool = False,
-    prune_confidence: float = 0.25,
-) -> RuleSet:
+def induce(train: TemporalisedDataset) -> RuleSet:
     """Grow a gain-ratio tree over `train` and extract its leaf paths."""
     if train.n == 0:
         raise DataError("empty training data")
     decision = train.decision_schema
     if decision.kind != "discrete":
         raise DataError("classification requires discrete decision")
-    if min_leaf < 1:
-        raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
 
-    builder = _TreeBuilder(train, min_leaf)
+    builder = _TreeBuilder(train)
     indices = list(range(train.n))
     tree = builder.build(indices)
-    if prune:
-        tree = _Pruner(builder, prune_confidence).prune(tree, indices)
 
     rules: list[Rule] = []
     d, pos = train.decision_column

@@ -71,14 +71,3 @@ def classify_rule_set(rule_set: RuleSet) -> RelationKind:
     if all(t != t0 for t in times) and any(t > t0 for t in times):
         return RelationKind.ACAUSAL
     return RelationKind.MIXED
-
-
-def reclassify_outcome(declared: RelationKind, rule_set: RuleSet) -> RelationKind:
-    """The "actual rules" kind reported beside a test's declared kind.
-
-    A test aimed at one kind can produce rules of a simpler temporal
-    shape (for example a retrodiction test whose rules only ever use
-    earlier records); the verdict competition uses this actual kind.
-    """
-    del declared  # the declared kind does not constrain the answer
-    return classify_rule_set(rule_set)

@@ -1,10 +1,12 @@
 """Window/position sweep, confidence intervals, and the final verdict.
 
 One run evaluates the instantaneous rule set plus every (w, pos) in the
-requested window range, buckets the outcomes by the actual temporal kind
-of their rules, and lets the best representatives compete: overlapping
-accuracy intervals favour the conceptually simpler kind (when it is also
-no larger), disjoint intervals favour raw accuracy.
+requested window range, each once, buckets the outcomes by the actual
+temporal kind of their rules (a rule set without conditions keeps its
+declared kind), and lets the best representatives compete through
+`select_relation`: overlapping accuracy intervals favour the conceptually
+simpler kind (when it is also no larger), disjoint intervals favour raw
+accuracy.
 """
 
 from __future__ import annotations
@@ -213,24 +215,6 @@ def select_relation(candidates: Sequence[Candidate], preference: str) -> Selecti
     )
 
 
-def relation_type(
-    cl: float,
-    instantaneous: tuple[float, int, int],
-    acausal: tuple[float, int, int],
-    p_causal: tuple[float, int, int],
-    preference: str = "higher_accuracy",
-    interval_method: str = "normal",
-) -> RelationKind:
-    """Select among three (accuracy, rule_size, n) outcomes at level cl."""
-    candidates = [
-        Candidate(kind, ac, size, compute_accuracy_interval(ac, n, cl, interval_method))
-        for kind, (ac, size, n) in zip(
-            COMPETING_KINDS, (instantaneous, acausal, p_causal)
-        )
-    ]
-    return select_relation(candidates, preference).winner
-
-
 def rule_generator_run_count(alpha: int, beta: int) -> int:
     """How many rule-generator invocations a full sweep performs."""
     if not 0 < alpha <= beta:
@@ -390,17 +374,17 @@ def _run_single(
     )
 
 
-def _run_job(args: tuple) -> tuple[tuple[int, int], TestOutcome]:
-    train, test, d, w, pos = args
-    return (w, pos), _run_single(train, test, d, w, pos)
+def _run_job(args: tuple) -> TestOutcome:
+    return _run_single(*args)
 
 
 def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictReport:
     """Sweep the window range over `data` and render a verdict for spec.d.
 
     The decision attribute's values are treated as class labels; numeric
-    columns are relabelled accordingly before the sweep. The sweep is
-    deterministic regardless of worker count.
+    columns are relabelled accordingly before the sweep. When alpha is 1
+    the window range already holds (1, 1), which still runs only once.
+    The sweep is deterministic regardless of worker count.
     """
     data.attribute(spec.d)
     data = as_discrete(data, spec.d)
@@ -410,25 +394,16 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
             f"window range up to {spec.beta} needs more than {train.n} training records"
         )
 
-    jobs = [(train, test, spec.d, 1, 1)]
-    jobs += [
-        (train, test, spec.d, w, pos)
-        for w in range(spec.alpha, spec.beta + 1)
-        for pos in range(1, w + 1)
-    ]
-
-    generator_runs = 0
-    outcomes: dict[tuple[int, int], TestOutcome] = {}
+    windows = dict.fromkeys(
+        [(1, 1)]
+        + [(w, pos) for w in range(spec.alpha, spec.beta + 1) for pos in range(1, w + 1)]
+    )
+    jobs = [(train, test, spec.d, w, pos) for w, pos in windows]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_run_job, jobs))
+            ordered = tuple(executor.map(_run_job, jobs))
     else:
-        results = [_run_job(job) for job in jobs]
-    for key, outcome in results:
-        generator_runs += 1
-        outcomes.setdefault(key, outcome)
-
-    ordered = tuple(outcomes[key] for key in sorted(outcomes))
+        ordered = tuple(map(_run_job, jobs))
     mode = spec.accuracy_mode
     best: dict[RelationKind, TestOutcome | None] = {}
     for kind in COMPETING_KINDS:
@@ -475,6 +450,6 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
         best=best,
         intervals=intervals,
         final=final,
-        generator_runs=generator_runs,
+        generator_runs=rule_generator_run_count(spec.alpha, spec.beta),
         selection=selection,
     )

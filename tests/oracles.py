@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from statistics import NormalDist
 
 from timerules.induction import Condition, Rule
 
@@ -106,10 +105,9 @@ class ReferenceTree:
     """Tree nodes are tuples: ("leaf", value), ("discrete", attr, time,
     {symbol: node}) and ("numeric", attr, time, threshold, low, high)."""
 
-    def __init__(self, train, min_leaf: int = 1, prune_confidence: float | None = None):
+    def __init__(self, train):
         self.records = train.records
         self.classes = [record[-1] for record in self.records]
-        self.min_leaf = min_leaf
         self.class_rank = {
             symbol: i for i, symbol in enumerate(train.decision_schema.domain or ())
         }
@@ -119,21 +117,15 @@ class ReferenceTree:
             cols.append((attr, time, k, schema.kind, schema.domain))
         cols.sort(key=lambda c: (c[0], c[1]))
         self.columns = cols
-        self.positions = {(attr, time): k for attr, time, k, _, _ in cols}
         self.decision_column = train.decision_column
         indices = list(range(len(self.records)))
         self.root = self._build(indices)
-        if prune_confidence is not None:
-            self.z = NormalDist().inv_cdf(1.0 - prune_confidence)
-            self.root, _ = self._prune(self.root, indices)
         self.default = _majority(Counter(self.classes), self.class_rank)
 
     def _build(self, indices):
         counts = Counter(self.classes[i] for i in indices)
         if len(counts) == 1:
             return ("leaf", next(iter(counts)))
-        if len(indices) < self.min_leaf:
-            return ("leaf", _majority(counts, self.class_rank))
         best = self._best_split(indices, counts, _entropy(counts, len(indices)))
         if best is None:
             return ("leaf", _majority(counts, self.class_rank))
@@ -214,41 +206,6 @@ class ReferenceTree:
                         }
         return best
 
-    def _prune(self, node, indices):
-        counts = Counter(self.classes[i] for i in indices)
-        if node[0] == "leaf":
-            if not indices:
-                return node, 0.0
-            errors = len(indices) - counts.get(node[1], 0)
-            return node, len(indices) * _upper_error_bound(errors, len(indices), self.z)
-        k = self.positions[(node[1], node[2])]
-        if node[0] == "discrete":
-            groups: dict = {symbol: [] for symbol in node[3]}
-            for i in indices:
-                groups[self.records[i][k]].append(i)
-            branches = {}
-            subtree_estimate = 0.0
-            for symbol, child in node[3].items():
-                branches[symbol], estimate = self._prune(child, groups[symbol])
-                subtree_estimate += estimate
-            node = ("discrete", node[1], node[2], branches)
-        else:
-            low = [i for i in indices if self.records[i][k] <= node[3]]
-            high = [i for i in indices if self.records[i][k] > node[3]]
-            new_low, low_estimate = self._prune(node[4], low)
-            new_high, high_estimate = self._prune(node[5], high)
-            subtree_estimate = low_estimate + high_estimate
-            node = ("numeric", node[1], node[2], node[3], new_low, new_high)
-        if indices:
-            majority = _majority(counts, self.class_rank)
-            leaf_errors = len(indices) - counts[majority]
-            leaf_estimate = len(indices) * _upper_error_bound(
-                leaf_errors, len(indices), self.z
-            )
-            if leaf_estimate <= subtree_estimate:
-                return ("leaf", majority), leaf_estimate
-        return node, subtree_estimate
-
     def rule_lines(self) -> list[str]:
         """Leaf-path rules in extraction order, rendered as `RuleSet.render` lines."""
         decision_attribute, decision_time = self.decision_column
@@ -283,11 +240,3 @@ class ReferenceTree:
             predicted = self.default if node is None else node[1]
             hits += predicted == record[-1]
         return hits / len(data.records)
-
-
-def _upper_error_bound(errors: int, n: int, z: float) -> float:
-    p = errors / n
-    denom = 1.0 + z * z / n
-    center = p + z * z / (2 * n)
-    margin = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n))
-    return (center + margin) / denom

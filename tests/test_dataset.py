@@ -216,6 +216,13 @@ class TestAsDiscrete:
         assert out.schema[0].domain == ("2", "1")
         assert out.records == (("2",), ("1",), ("2",))
 
+    def test_equal_values_share_first_spelling(self, tmp_path):
+        data = load_csv(write(tmp_path, "x\n2\n1.0\n1\n"))
+        assert data.records == ((2,), (1.0,), (1,))
+        out = as_discrete(data, "x")
+        assert out.schema[0].domain == ("2", "1.0")
+        assert out.records == (("2",), ("1.0",), ("1.0",))
+
     def test_discrete_passthrough(self):
         schema = (AttributeSchema("x", "discrete", ("a",)),)
         data = EventSequence(schema=schema, records=(("a",),))

@@ -103,18 +103,6 @@ class TestInduce:
         tested = {c.attribute for r in rule_set.rules for c in r.conditions}
         assert tested == {"signal"}
 
-    def test_min_leaf_stops_growth(self):
-        train = flat_table(
-            [("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0")]
-        )
-        rule_set = induce(train, min_leaf=5)
-        assert rule_set.size == 1
-
-    def test_min_leaf_validation(self):
-        train = flat_table([("a", "b")])
-        with pytest.raises(ValueError):
-            induce(train, min_leaf=0)
-
     def test_deterministic(self):
         rng = random.Random(2)
         rows = [
@@ -347,26 +335,6 @@ class TestRuleSetInvariants:
             RuleSet(rules=rules, default_class="a", decision_attribute="k", decision_time=1)
 
 
-class TestPruning:
-    def test_pruning_never_grows_the_rule_set(self):
-        rng = random.Random(17)
-        for _ in range(10):
-            rows = [
-                (rng.choice("pq"), rng.choice("xy"), rng.choice("AB"))
-                for _ in range(60)
-            ]
-            train = flat_table(rows)
-            grown = induce(train)
-            pruned = induce(train, prune=True)
-            assert pruned.size <= grown.size
-
-    def test_pruning_collapses_pure_noise(self):
-        rng = random.Random(19)
-        rows = [(rng.choice("pqrs"), rng.choice("AB")) for _ in range(200)]
-        pruned = induce(flat_table(rows), prune=True)
-        assert pruned.size == 1
-
-
 NUMERIC_POOL = (-2, 0, 1, 1.0, 1.5, 2, 2.0, 3, 7.25, 10)
 SYMBOL_POOL = ("p", "q", "r")
 CLASS_POOL = ("A", "B", "C", "D")
@@ -414,15 +382,11 @@ class TestReferenceAgreement:
         deadline=None,
         suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
     )
-    @given(
-        tables=random_tables(),
-        min_leaf=st.integers(1, 4),
-        prune=st.booleans(),
-    )
-    def test_matches_loop_based_reference(self, tables, min_leaf, prune):
+    @given(tables=random_tables())
+    def test_matches_loop_based_reference(self, tables):
         train, test = tables
-        rule_set = induce(train, min_leaf=min_leaf, prune=prune)
-        reference = ReferenceTree(train, min_leaf, 0.25 if prune else None)
+        rule_set = induce(train)
+        reference = ReferenceTree(train)
         assert rule_set.render() == "\n".join(reference.rule_lines())
         assert rule_set.default_class == reference.default
         assert evaluate(rule_set, train) == reference.accuracy(train)

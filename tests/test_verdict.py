@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import timerules.verdict
 from timerules.dataset import AttributeSchema, DataError, EventSequence
 from timerules.semantics import RelationKind
 from timerules.verdict import (
@@ -10,7 +11,6 @@ from timerules.verdict import (
     Candidate,
     RunSpec,
     compute_accuracy_interval,
-    relation_type,
     rule_generator_run_count,
     run_timers,
     select_relation,
@@ -165,14 +165,11 @@ class TestSelectRelation:
 
 class TestRelationType:
     def test_triplet_signature(self):
-        out = relation_type(
-            0.90,
-            (0.325, 10, 2000),
-            (0.35, 10, 2000),
-            (0.37, 10, 2000),
-            "higher_accuracy",
-        )
-        assert out == P
+        cands = [
+            Candidate(kind, accuracy, 10, compute_accuracy_interval(accuracy, 2000, 0.90))
+            for kind, accuracy in ((I, 0.325), (A, 0.35), (P, 0.37))
+        ]
+        assert select_relation(cands, "higher_accuracy").winner == P
 
 
 class TestRunCount:
@@ -312,13 +309,41 @@ class TestRunTimers:
         report = run_timers(RunSpec(d="v", alpha=2, beta=2, test_count=12), data)
         assert report.best[P].accuracy("predictive") == 1.0
 
+    def test_alpha_one_trains_each_window_once(self, monkeypatch):
+        trained = []
+        real_induce = timerules.verdict.induce
+
+        def counting_induce(train):
+            trained.append((train.provenance.w, train.provenance.pos))
+            return real_induce(train)
+
+        monkeypatch.setattr(timerules.verdict, "induce", counting_induce)
+        run_timers(RunSpec(d="x", alpha=1, beta=2, test_count=20), generate_periodic(4, 100))
+        assert trained == [(1, 1), (2, 1), (2, 2)]
+
+    def test_conditionless_rules_report_their_declared_kind(self):
+        # a constant decision grows a single bare leaf in every window
+        schema = (
+            AttributeSchema("u", "discrete", ("0", "1")),
+            AttributeSchema("c", "discrete", ("p", "q")),
+        )
+        records = tuple((str(i % 2), "p") for i in range(40))
+        data = EventSequence(schema=schema, records=records)
+        report = run_timers(RunSpec(d="c", alpha=2, beta=3, test_count=10), data)
+        assert all(o.eval.rule_size == 1 for o in report.outcomes)
+        assert [o.actual_kind for o in report.outcomes] == [
+            o.declared_kind for o in report.outcomes
+        ]
+        assert report.final == "instantaneous"
+
     def test_workers_do_not_change_the_report(self):
         walk = generate_robot_walk(RobotWorldConfig(steps=400, seed=2))
-        spec = RunSpec(d="x", alpha=2, beta=3, test_count=80)
-        serial = run_timers(spec, walk, workers=1)
-        parallel = run_timers(spec, walk, workers=2)
-        assert serial.outcomes == parallel.outcomes
-        assert serial.final == parallel.final
+        for alpha, beta in ((2, 3), (1, 2)):
+            spec = RunSpec(d="x", alpha=alpha, beta=beta, test_count=80)
+            serial = run_timers(spec, walk, workers=1)
+            parallel = run_timers(spec, walk, workers=2)
+            assert serial.outcomes == parallel.outcomes
+            assert serial.final == parallel.final
 
     def test_report_serialises_to_json(self):
         report = run_timers(
