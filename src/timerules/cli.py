@@ -1,9 +1,11 @@
 """Command-line front end: analyze datasets, generate worlds, dump windows.
 
 Exit codes: 0 when a run completes (any verdict, including no-verdict),
-2 for usage errors, 3 for data errors. The TIMERULES_MAX_WORKERS
-environment variable caps how many workers the sweep may fan out to; the
-sweep never uses more workers than it has jobs or the machine has CPUs.
+2 for usage errors, 3 for data errors. A usage error is a flag value the
+command's own checks reject before any work starts; a ValueError raised
+later is a fault and propagates. The TIMERULES_MAX_WORKERS environment
+variable caps how many workers the sweep may fan out to; the sweep never
+uses more workers than it has jobs or the machine has CPUs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from contextlib import contextmanager
 from pathlib import Path
 
 from .dataset import DataError, load_csv
@@ -22,6 +24,19 @@ from .worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
+
+
+class UsageError(Exception):
+    """A command-line value that failed validation."""
+
+
+@contextmanager
+def _checking_arguments():
+    """Report a ValueError raised while checking flag values as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def worker_count(raw: str | None, jobs: int, cpus: int | None) -> tuple[int, str | None]:
@@ -140,10 +155,11 @@ def _manifest_path(csv_path: Path) -> Path:
 
 
 def _write_generated(kind: str, config: dict, out: Path) -> None:
-    if kind == "robot":
-        data = generate_robot_walk(RobotWorldConfig(**config))
-    else:
-        data = generate_periodic(**config)
+    with _checking_arguments():
+        if kind == "robot":
+            data = generate_robot_walk(RobotWorldConfig(**config))
+        else:
+            data = generate_periodic(**config)
     data.to_csv(out)
     manifest = {"kind": kind, "config": config, "csv": out.name, "rows": data.n}
     with open(_manifest_path(out), "w", encoding="utf-8") as handle:
@@ -154,20 +170,18 @@ def _write_generated(kind: str, config: dict, out: Path) -> None:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "robot":
-        config = asdict(
-            RobotWorldConfig(
-                width=args.width, height=args.height, steps=args.steps, seed=args.seed
-            )
-        )
+        config = {key: getattr(args, key) for key in ("width", "height", "steps", "seed")}
         _write_generated("robot", config, Path(args.out))
     elif args.kind == "periodic":
-        generate_periodic(args.period, args.steps)  # validate before writing
         _write_generated(
             "periodic", {"period": args.period, "steps": args.steps}, Path(args.out)
         )
     else:
         with open(args.manifest, encoding="utf-8") as handle:
-            manifest = json.load(handle)
+            try:
+                manifest = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{args.manifest} is not a JSON manifest: {exc}") from exc
         out = Path(args.out) if args.out else Path(args.manifest).parent / manifest["csv"]
         _write_generated(manifest["kind"], manifest["config"], out)
     return 0
@@ -179,31 +193,34 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     attributes = (
         list(data.attribute_names) if args.all_attributes else [args.decision]
     )
+    with _checking_arguments():
+        specs = [
+            RunSpec(
+                d=name,
+                alpha=args.min_window,
+                beta=args.max_window,
+                ac_th=args.threshold,
+                cl=args.confidence,
+                preference=args.preference.replace("-", "_"),
+                test_count=test_count,
+                accuracy_mode=args.accuracy_mode,
+                interval_method=args.interval_method,
+            )
+            for name in attributes
+        ]
+        jobs = rule_generator_run_count(args.min_window, args.max_window)
     workers, warning = worker_count(
-        os.environ.get("TIMERULES_MAX_WORKERS"),
-        rule_generator_run_count(args.min_window, args.max_window),
-        os.cpu_count(),
+        os.environ.get("TIMERULES_MAX_WORKERS"), jobs, os.cpu_count()
     )
     if warning:
         print(f"timerules: warning: {warning}", file=sys.stderr)
-    for i, name in enumerate(attributes):
-        spec = RunSpec(
-            d=name,
-            alpha=args.min_window,
-            beta=args.max_window,
-            ac_th=args.threshold,
-            cl=args.confidence,
-            preference=args.preference.replace("-", "_"),
-            test_count=test_count,
-            accuracy_mode=args.accuracy_mode,
-            interval_method=args.interval_method,
-        )
+    for i, spec in enumerate(specs):
         report = run_timers(spec, data, workers=workers)
         if i:
             print()
         print(report.render_text())
         if args.out:
-            base = args.out if len(attributes) == 1 else f"{args.out}.{name}"
+            base = args.out if len(specs) == 1 else f"{args.out}.{spec.d}"
             Path(f"{base}.txt").write_text(report.render_text() + "\n", encoding="utf-8")
             with open(f"{base}.json", "w", encoding="utf-8") as handle:
                 json.dump(report.to_dict(), handle, indent=2)
@@ -212,8 +229,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
+    with _checking_arguments():
+        spec = TemporalisationSpec(w=args.window, pos=args.position, d=args.decision)
     data = load_csv(args.data, header_mode=args.header_mode)
-    spec = TemporalisationSpec(w=args.window, pos=args.position, d=args.decision)
     temporalise(spec, data).to_csv(args.out)
     return 0
 
@@ -233,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"timerules: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"timerules: invalid arguments: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -3,20 +3,39 @@
 Records are kept strictly in arrival order; the row index is the only
 notion of time. A cell holding the reserved token "?" is accepted at load
 time but poisons its record for any downstream analysis step.
+
+An `EventSequence` transposes its records into columns once, validates
+them column by column, and caches the small-int codes the tree learner
+reads: per attribute, each value's code (its domain index, or its rank
+among the sequence's sorted distinct numbers), and per (decision,
+attribute, row offset), the pair codes `value_code * C + class_code`.
+Every window of a sweep slices the same cached codes, which live as
+long as the sequence does.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 MISSING_TOKEN = "?"
 
 AttributeKind = Literal["discrete", "numeric"]
 HeaderMode = Literal["first-row-names", "positional"]
+
+_NUMBER_TYPES = {int, float, type(None)}
+_CODE_TYPES = [(1 << 8 * array(t).itemsize, t) for t in "BHIQ"]
+
+
+def _code_array(codes: Iterable[int], count: int) -> array:
+    """`codes`, each below `count`, in the narrowest unsigned array type."""
+    return array(next(t for limit, t in _CODE_TYPES if count <= limit), codes)
 
 
 class DataError(ValueError):
@@ -48,7 +67,8 @@ class EventSequence:
     """An ordered table of records over a fixed attribute schema.
 
     Record order is temporal order and is never rearranged. Instances are
-    immutable and safe to share between concurrent readers.
+    immutable and safe to share between concurrent readers; the columns
+    and codes derived from the records are computed once, on first use.
     """
 
     schema: tuple[AttributeSchema, ...]
@@ -58,6 +78,31 @@ class EventSequence:
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             raise DataError("attribute names must be unique")
+        if not self._columns_conform():
+            self._check_records()
+
+    def _columns_conform(self) -> bool:
+        """One pass per column: exact number types, or symbols of the domain.
+
+        False when any check fails; the row scan then names the first
+        offending record, or accepts cells such as bools that are numbers
+        without being exactly int or float.
+        """
+        if not set(map(len, self.records)) <= {self.m}:
+            return False
+        for attribute, column in zip(self.schema, self.columns):
+            if attribute.kind == "numeric":
+                if not set(map(type, column)) <= _NUMBER_TYPES:
+                    return False
+            else:
+                try:
+                    if not set(column) - {None} <= set(attribute.domain):
+                        return False
+                except TypeError:  # an unhashable cell
+                    return False
+        return True
+
+    def _check_records(self) -> None:
         m = len(self.schema)
         domains = [
             frozenset(a.domain) if a.kind == "discrete" else None for a in self.schema
@@ -81,6 +126,69 @@ class EventSequence:
                         f"record {i + 1}: {value!r} is outside the domain of "
                         f"{attribute.name}"
                     )
+
+    @cached_property
+    def columns(self) -> tuple[tuple[object, ...], ...]:
+        """The records transposed: `columns[j]` holds attribute j in record order."""
+        return tuple(tuple(map(itemgetter(j), self.records)) for j in range(self.m))
+
+    @cached_property
+    def has_missing(self) -> bool:
+        """Whether any cell holds a missing value."""
+        return any(None in column for column in self.columns)
+
+    def value_codes(self, name: str) -> array:
+        """Small-int code of every value of one attribute, in record order.
+
+        A discrete value's code is its index in the schema domain; a
+        numeric value's code is its rank among the sequence's sorted
+        distinct values, so ascending codes are ascending values in any
+        run of records. The attribute must have no missing value.
+        """
+        codes = self._codes.get(name)
+        if codes is None:
+            j = self.column_index(name)
+            column = self.columns[j]
+            domain = self.schema[j].domain
+            symbols = domain if domain is not None else sorted(set(column))
+            code = {value: k for k, value in enumerate(symbols)}
+            codes = self._codes[name] = _code_array(
+                map(code.__getitem__, column), len(code)
+            )
+        return codes
+
+    def pair_codes(
+        self, decision: str, attribute: str, offset: int, start: int, stop: int
+    ) -> list[int]:
+        """`value_code * C + class_code` for the decision rows `start..stop-1`.
+
+        Each decision row r is paired with `attribute` at row r + offset;
+        C is the size of the (discrete) decision domain. The codes of
+        every decision row that has such a partner are built once per
+        (decision, attribute, offset) and reused by every slice.
+        """
+        first = max(0, -offset)
+        key = (decision, attribute, offset)
+        pairs = self._codes.get(key)
+        if pairs is None:
+            classes = self.value_codes(decision)
+            width = len(self.attribute(decision).domain)
+            values = self.value_codes(attribute)
+            last = min(self.n, self.n - offset)
+            pairs = self._codes[key] = _code_array(
+                map(
+                    add,
+                    map(width.__mul__, values[first + offset : last + offset]),
+                    classes[first:last],
+                ),
+                (max(values, default=0) + 1) * width,
+            )
+        return pairs[start - first : stop - first].tolist()
+
+    @cached_property
+    def _codes(self) -> dict[str | tuple[str, str, int], array]:
+        """Value codes by attribute name, pair codes by (decision, attribute, offset)."""
+        return {}
 
     @property
     def n(self) -> int:
@@ -107,8 +215,7 @@ class EventSequence:
         raise DataError(f"unknown attribute {name!r}")
 
     def column(self, name: str) -> list[object]:
-        j = self.column_index(name)
-        return [record[j] for record in self.records]
+        return list(self.columns[self.column_index(name)])
 
     def to_csv(self, path: str | Path, header: bool = True) -> None:
         """Write the table back out; missing values become the "?" token."""
@@ -225,18 +332,15 @@ def as_discrete(data: EventSequence, name: str) -> EventSequence:
     j = data.column_index(name)
     if data.schema[j].kind == "discrete":
         return data
-    first: dict = {}
-    tokens = [
-        None if r[j] is None else first.setdefault(r[j], format_cell(r[j]))
-        for r in data.records
-    ]
-    observed = [t for t in tokens if t is not None]
-    if not observed:
+    column = data.columns[j]
+    # dict.fromkeys keeps the first of equal keys, so 1.0 maps to "1" after 1
+    spelling = {value: format_cell(value) for value in dict.fromkeys(column)}
+    spelling[None] = None
+    domain = tuple(dict.fromkeys(t for t in spelling.values() if t is not None))
+    if not domain:
         raise DataError(f"column {name!r} has no observed values")
     schema = list(data.schema)
-    schema[j] = AttributeSchema(name, "discrete", tuple(dict.fromkeys(observed)))
-    records = tuple(
-        record[:j] + (token,) + record[j + 1 :]
-        for record, token in zip(data.records, tokens)
-    )
-    return EventSequence(schema=tuple(schema), records=records)
+    schema[j] = AttributeSchema(name, "discrete", domain)
+    columns = list(data.columns)
+    columns[j] = map(spelling.__getitem__, column)
+    return EventSequence(schema=tuple(schema), records=tuple(zip(*columns)))

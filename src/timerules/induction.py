@@ -7,14 +7,16 @@ consecutive observed values. Root-to-leaf paths are extracted as rules
 sharing one decision column; classification is first-match over that
 list with a global default class as fallback.
 
-The learner reads the training set's column views. Each column is coded
-once per `induce` as small-int pair codes, `value_code * C + class_code`
-for C classes, where a numeric value's code is its rank among the
-column's sorted distinct values (the presorting idea of C4.5 and
-SPRINT). A node counts its rows' pair codes per column in one pass and
-scores every candidate split from those counts alone; only the winning
-split builds its children's row lists. Evaluation routes row indices
-down the tree column by column instead of walking it once per record.
+The learner reads the training set's column views and their small-int
+pair codes, `value_code * C + class_code` for C classes, where a numeric
+value's code is its rank among the source sequence's sorted distinct
+values (the presorting idea of C4.5 and SPRINT). The source sequence
+codes each (decision, attribute, time offset) once, so every (w, pos) of
+a sweep slices the same codes. A node counts its rows' pair codes per
+column in one pass and scores every candidate split from those counts
+alone; only the winning split builds its children's row lists.
+Evaluation routes row indices down the tree column by column instead of
+walking it once per record.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .dataset import DataError
@@ -159,8 +160,8 @@ class _Column:
     """One training column with its (value, class) pair codes.
 
     `pairs[i]` is `value_code * class_count + class_code` of row i; a
-    numeric value's code is its rank among the column's sorted distinct
-    values, so ascending codes are ascending values.
+    numeric value's code is its rank among the source sequence's sorted
+    distinct values, so ascending codes are ascending values.
     """
 
     attribute: str
@@ -175,22 +176,22 @@ class _TreeBuilder:
     """Gain-ratio tree growth over integer-coded training columns.
 
     Classes are coded by their index in the decision domain, which is
-    also the majority tie-break order. Every column is coded once; a node
-    then counts its rows' pair codes in one pass per column.
+    also the majority tie-break order. The pair codes are slices of the
+    ones the source sequence caches per (decision, attribute, offset); a
+    node counts its rows' pair codes in one pass per column.
     """
 
     def __init__(self, train: TemporalisedDataset):
+        source = train.source
+        d, pos = train.decision_column
         self.classes = train.decision_schema.domain or ()
-        class_code = {symbol: k for k, symbol in enumerate(self.classes)}
-        self.class_codes = list(map(class_code.__getitem__, train.decisions))
-        width = len(self.classes)
+        start, stop = pos - 1, pos - 1 + train.n
+        self.class_codes = source.value_codes(d)[start:stop].tolist()
         columns = []
         for (attr, time), values in zip(train.condition_columns, train.columns):
-            schema = train.attribute(attr)
+            schema = source.attribute(attr)
+            pairs = source.pair_codes(d, attr, time - pos, start, stop)
             numeric = schema.kind == "numeric"
-            distinct = sorted(set(values)) if numeric else dict.fromkeys(values)
-            base = {value: r * width for r, value in enumerate(distinct)}
-            pairs = list(map(add, map(base.__getitem__, values), self.class_codes))
             columns.append(_Column(attr, time, numeric, schema.domain, values, pairs))
         # column scan order fixes gain-ratio ties: lowest (attribute, time) wins
         columns.sort(key=lambda c: (c.attribute, c.time))

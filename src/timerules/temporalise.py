@@ -13,13 +13,15 @@ with every other attribute serving as a same-time condition.
 The flat records are held as column views, never built row by row: the
 column of attribute a at window time t is the slice of a's source
 column starting at source row t-1, so row i of it is source row i+t-1.
-Every (w, pos) of a sweep slices the same source columns.
+Every (w, pos) of a sweep slices the same source columns, which the
+source sequence transposes once; the merged dataset keeps its source
+sequence, so the learner can reuse the codes cached there.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -64,9 +66,9 @@ class TemporalisedDataset:
 
     `columns[k]` holds condition column `condition_columns[k]` and
     `decisions` the decision column, all of length `n`: row i of column
-    (attribute, t) is source row i+t-1. `records` joins them row-wise,
-    decision value last. `source_schema` is kept so downstream consumers
-    can resolve a column's kind and domain.
+    (attribute, t) is source row i+t-1 of `source`. `records` joins them
+    row-wise, decision value last. `source` resolves a column's kind and
+    domain and holds the codes the learner reads.
     """
 
     condition_columns: tuple[tuple[str, int], ...]
@@ -74,7 +76,7 @@ class TemporalisedDataset:
     columns: tuple[tuple[object, ...], ...]
     decisions: tuple[object, ...]
     provenance: TemporalisationSpec
-    source_schema: tuple[AttributeSchema, ...]
+    source: EventSequence = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.condition_columns):
@@ -99,10 +101,7 @@ class TemporalisedDataset:
         return tuple(zip(*self.columns, self.decisions))
 
     def attribute(self, name: str) -> AttributeSchema:
-        for a in self.source_schema:
-            if a.name == name:
-                return a
-        raise DataError(f"unknown attribute {name!r}")
+        return self.source.attribute(name)
 
     @property
     def decision_schema(self) -> AttributeSchema:
@@ -129,8 +128,8 @@ def temporalised_record_count(n: int, w: int) -> int:
     return n - w + 1
 
 
-def _reject_missing(data: EventSequence, source: list[tuple[object, ...]]) -> None:
-    if not any(None in column for column in source):
+def _reject_missing(data: EventSequence) -> None:
+    if not data.has_missing:
         return
     for i, record in enumerate(data.records):
         if None in record:
@@ -148,8 +147,8 @@ def temporalise(spec: TemporalisationSpec, data: EventSequence) -> TemporalisedD
     """
     d_index = data.column_index(spec.d)
     n = temporalised_record_count(data.n, spec.w)
-    source = list(zip(*data.records))
-    _reject_missing(data, source)
+    _reject_missing(data)
+    source = data.columns
 
     names = data.attribute_names
     if spec.w == 1:
@@ -169,5 +168,5 @@ def temporalise(spec: TemporalisationSpec, data: EventSequence) -> TemporalisedD
         columns=columns,
         decisions=decisions,
         provenance=spec,
-        source_schema=data.schema,
+        source=data,
     )

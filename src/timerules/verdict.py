@@ -7,6 +7,11 @@ declared kind), and lets the best representatives compete through
 `select_relation`: overlapping accuracy intervals favour the conceptually
 simpler kind (when it is also no larger), disjoint intervals favour raw
 accuracy.
+
+A job is just (d, w, pos). The sweep's train and test sequences reach
+each process-pool worker once, through the pool initializer, so the
+codes the learner caches on the training sequence serve all of that
+worker's jobs.
 """
 
 from __future__ import annotations
@@ -374,8 +379,18 @@ def _run_single(
     )
 
 
-def _run_job(args: tuple) -> TestOutcome:
-    return _run_single(*args)
+# set by the pool initializer, in worker processes only
+_worker_data: tuple[EventSequence, EventSequence] | None = None
+
+
+def _init_worker(train: EventSequence, test: EventSequence) -> None:
+    """Keep the sweep's sequences in a pool worker for all of its jobs."""
+    global _worker_data
+    _worker_data = (train, test)
+
+
+def _run_job(job: tuple[str, int, int]) -> TestOutcome:
+    return _run_single(*_worker_data, *job)
 
 
 def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictReport:
@@ -387,8 +402,7 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
     The sweep is deterministic regardless of worker count.
     """
     data.attribute(spec.d)
-    data = as_discrete(data, spec.d)
-    train, test = split_chronological(data, spec.test_count)
+    train, test = split_chronological(as_discrete(data, spec.d), spec.test_count)
     if spec.beta >= train.n:
         raise DataError(
             f"window range up to {spec.beta} needs more than {train.n} training records"
@@ -398,12 +412,14 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
         [(1, 1)]
         + [(w, pos) for w in range(spec.alpha, spec.beta + 1) for pos in range(1, w + 1)]
     )
-    jobs = [(train, test, spec.d, w, pos) for w, pos in windows]
+    jobs = [(spec.d, w, pos) for w, pos in windows]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(train, test)
+        ) as executor:
             ordered = tuple(executor.map(_run_job, jobs))
     else:
-        ordered = tuple(map(_run_job, jobs))
+        ordered = tuple(_run_single(train, test, *job) for job in jobs)
     mode = spec.accuracy_mode
     best: dict[RelationKind, TestOutcome | None] = {}
     for kind in COMPETING_KINDS:

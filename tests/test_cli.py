@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import timerules.cli
 from timerules.cli import main, worker_count
 from timerules.dataset import load_csv
 
@@ -68,6 +69,22 @@ class TestGenerate:
         )
         assert code == 0
         assert out.read_bytes() == original
+
+    def test_corrupt_manifest_is_a_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "bad.manifest.json"
+        manifest.write_text("{not json", encoding="utf-8")
+        code, _, err = run(capsys, "generate", "from-manifest", str(manifest))
+        assert code == 3
+        assert "is not a JSON manifest" in err
+
+    def test_bad_generator_flag_is_a_usage_error(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "generate", "periodic", "--period", "1",
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 2
+        assert "invalid arguments: period must be >= 2" in err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_unwritable_path_fails(self, tmp_path, capsys):
         code, _, err = run(
@@ -193,6 +210,24 @@ class TestAnalyze:
         )
         assert code == 2
         assert "invalid arguments" in err
+
+    def test_min_window_zero_is_a_usage_error(self, robot_csv, capsys):
+        code, _, err = run(
+            capsys, "analyze", "--data", str(robot_csv), "--decision", "x",
+            "--min-window", "0",
+        )
+        assert code == 2
+        assert "invalid arguments: window range" in err
+
+    def test_value_error_inside_the_sweep_propagates(
+        self, robot_csv, capsys, monkeypatch
+    ):
+        def failing_run_timers(spec, data, workers=1):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(timerules.cli, "run_timers", failing_run_timers)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["analyze", "--data", str(robot_csv), "--decision", "x"])
 
     def test_unknown_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

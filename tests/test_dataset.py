@@ -207,6 +207,55 @@ class TestEventSequence:
         EventSequence(schema=discrete, records=((None,),))
 
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            (((1, "a"), (2,), (3, "b", 4)), "record 2 has 1 values, expected 2"),
+            (((1, "a"), ("2", "b"), ("x", "c")), "record 2: x expects a number, got '2'"),
+            (((1, "a"), (2, "c"), (3, "d")), "record 2: 'c' is outside the domain of y"),
+            # a bad value before a bad width: the earlier record is named
+            (((1, "a"), (2, "z"), (3,)), "record 2: 'z' is outside the domain of y"),
+            (((1, "a"), (2,), (None, "z")), "record 2 has 1 values, expected 2"),
+        ],
+    )
+    def test_first_bad_record_is_named(self, records, message):
+        schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))
+        with pytest.raises(DataError) as excinfo:
+            EventSequence(schema=schema, records=records)
+        assert str(excinfo.value) == message
+
+    def test_bools_count_as_numbers(self):
+        data = EventSequence(schema=(AttributeSchema("x", "numeric"),), records=((True,), (2,)))
+        assert data.columns == ((True, 2),)
+
+    def test_columns_transpose_the_records(self):
+        schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))
+        data = EventSequence(schema=schema, records=((1, "b"), (2.5, "a"), (None, "b")))
+        assert data.columns == ((1, 2.5, None), ("b", "a", "b"))
+        assert data.has_missing
+        empty = EventSequence(schema=schema, records=())
+        assert empty.columns == ((), ())
+
+    def test_value_codes_are_domain_indices_and_value_ranks(self):
+        schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))
+        data = EventSequence(
+            schema=schema, records=((3, "b"), (1.0, "a"), (-2, "b"), (1, "b"))
+        )
+        assert list(data.value_codes("x")) == [2, 1, 0, 1]
+        assert list(data.value_codes("y")) == [1, 0, 1, 1]
+
+    def test_pair_codes_pair_each_decision_row_with_an_offset_row(self):
+        schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))
+        data = EventSequence(
+            schema=schema, records=((3, "b"), (1.0, "a"), (-2, "b"), (1, "b"))
+        )
+        # x codes 2, 1, 0, 1 and y codes 1, 0, 1, 1, with two classes
+        assert data.pair_codes("y", "x", 0, 0, 4) == [5, 2, 1, 3]
+        assert data.pair_codes("y", "x", 1, 0, 3) == [3, 0, 3]
+        assert data.pair_codes("y", "x", -2, 2, 4) == [5, 3]
+        assert data.pair_codes("y", "x", -2, 3, 4) == [3]
+
+
 class TestAsDiscrete:
     def test_numeric_becomes_labels(self):
         schema = (AttributeSchema("x", "numeric"),)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from timerules.dataset import AttributeSchema, DataError, EventSequence
+from timerules.dataset import (
+    AttributeSchema,
+    DataError,
+    EventSequence,
+    split_chronological,
+)
 from timerules.induction import (
     Condition,
     Rule,
@@ -420,3 +425,40 @@ class TestReferenceAgreement:
                 train = temporalise(TemporalisationSpec(w=w, pos=pos, d="k"), data)
                 reference = ReferenceTree(train)
                 assert induce(train).render() == "\n".join(reference.rule_lines())
+
+    def test_every_window_of_a_sweep_matches_reference(self):
+        # The learner slices codes built once over the whole training
+        # sequence. Here the first and last training rows hold values no
+        # other row has, so most windows' columns lack them; 1 and 1.0
+        # are one value; the test tail holds values training never saw.
+        schema = (
+            AttributeSchema("x", "numeric"),
+            AttributeSchema("y", "numeric"),
+            AttributeSchema("a", "discrete", ("p", "q", "r")),
+            AttributeSchema("k", "discrete", ("B", "A", "C")),
+        )
+        rng = random.Random(5)
+        rows = [
+            (
+                rng.choice((0, 1, 1.0, 2, 3)),
+                rng.choice((1.0, 1, 2.5, 4)),
+                rng.choice("pqr"),
+                rng.choice("ABC"),
+            )
+            for _ in range(70)
+        ]
+        rows[0] = (100, -7, "p", "A")
+        rows[54] = (-50, 99.5, "r", "C")
+        rows[60] = (42, 0.5, "q", "B")
+        data = EventSequence(schema=schema, records=tuple(rows))
+        train, test = split_chronological(data, 15)
+        for w in range(1, 5):
+            for pos in range(1, w + 1):
+                spec = TemporalisationSpec(w=w, pos=pos, d="k")
+                train_set, test_set = temporalise(spec, train), temporalise(spec, test)
+                rule_set = induce(train_set)
+                reference = ReferenceTree(train_set)
+                assert rule_set.render() == "\n".join(reference.rule_lines())
+                assert rule_set.default_class == reference.default
+                assert evaluate(rule_set, train_set) == reference.accuracy(train_set)
+                assert evaluate(rule_set, test_set) == reference.accuracy(test_set)

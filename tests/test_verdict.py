@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import timerules.verdict
 from timerules.dataset import AttributeSchema, DataError, EventSequence
@@ -150,6 +152,28 @@ class TestSelectRelation:
                     shuffled = rng.sample(cands, len(cands))
                     assert select_relation(shuffled, preference).winner == base
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        kinds=st.lists(st.sampled_from((I, A, P)), min_size=1, max_size=3, unique=True),
+        preference=st.sampled_from(("higher_accuracy", "simpler_method")),
+    )
+    def test_selection_ignores_candidate_order(self, data, kinds, preference):
+        # few accuracies and sizes, so ties and overlaps are common
+        cands = []
+        for kind in kinds:
+            accuracy, size, n = data.draw(
+                st.tuples(
+                    st.sampled_from((0.2, 0.5, 0.55, 0.8, 1.0)),
+                    st.integers(1, 4),
+                    st.sampled_from((10, 100, 1000)),
+                )
+            )
+            interval = compute_accuracy_interval(accuracy, n, 0.9)
+            cands.append(Candidate(kind, accuracy, size, interval))
+        shuffled = data.draw(st.permutations(cands))
+        assert select_relation(shuffled, preference) == select_relation(cands, preference)
+
     def test_empty_candidates_rejected(self):
         with pytest.raises(DataError):
             select_relation([], "higher_accuracy")
@@ -221,6 +245,36 @@ def noise_sequence(seed, n=160, classes=("p", "q")):
         (rng.choice(("0", "1")), rng.choice(classes)) for _ in range(n)
     )
     return EventSequence(schema=schema, records=records)
+
+
+@st.composite
+def small_sequences(draw):
+    """A short sequence of discrete and numeric attributes, and a run spec.
+
+    Numeric cells mix int and float spellings of equal values.
+    """
+    m = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(("discrete", "numeric")), min_size=m, max_size=m))
+    schema = tuple(
+        AttributeSchema(f"a{j}", "discrete", ("p", "q", "r"))
+        if kind == "discrete"
+        else AttributeSchema(f"a{j}", "numeric")
+        for j, kind in enumerate(kinds)
+    )
+    cells = [
+        st.sampled_from(("p", "q", "r")) if kind == "discrete"
+        else st.sampled_from((0, 1, 1.0, 2, 3.5))
+        for kind in kinds
+    ]
+    records = draw(st.lists(st.tuples(*cells), min_size=14, max_size=40))
+    alpha = draw(st.integers(1, 3))
+    spec = RunSpec(
+        d=draw(st.sampled_from([a.name for a in schema])),
+        alpha=alpha,
+        beta=draw(st.integers(alpha, 3)),
+        test_count=draw(st.integers(0, 6)),
+    )
+    return EventSequence(schema=schema, records=tuple(records)), spec
 
 
 class TestRunTimers:
@@ -344,6 +398,17 @@ class TestRunTimers:
             parallel = run_timers(spec, walk, workers=2)
             assert serial.outcomes == parallel.outcomes
             assert serial.final == parallel.final
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=small_sequences())
+    def test_report_is_the_same_for_any_worker_count(self, case):
+        data, spec = case
+        serial = run_timers(spec, data, workers=1).to_dict()
+        assert run_timers(spec, data, workers=2).to_dict() == serial
 
     def test_report_serialises_to_json(self):
         report = run_timers(
