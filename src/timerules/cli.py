@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .dataset import DataError, load_csv
 from .temporalise import TemporalisationSpec, temporalise
-from .verdict import RunSpec, rule_generator_run_count, run_timers
+from .verdict import RunSpec, run_timers
 from .worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
 
 USAGE_ERROR = 2
@@ -39,12 +39,13 @@ def _checking_arguments():
         raise UsageError(str(exc)) from exc
 
 
-def worker_count(raw: str | None, jobs: int, cpus: int | None) -> tuple[int, str | None]:
-    """Workers for a sweep of `jobs` jobs, and a warning for an invalid cap.
+def worker_count(raw: str | None, cpus: int | None) -> tuple[int, str | None]:
+    """Workers a sweep may use, and a warning for an invalid cap.
 
     `raw` is the TIMERULES_MAX_WORKERS value (None when unset). The
-    count is clamped to `min(cap, jobs, cpus)`; a cap that is not an
-    integer of at least 1 falls back to one worker with a warning.
+    count is clamped to `min(cap, cpus)`; a cap that is not an integer
+    of at least 1 falls back to one worker with a warning. `run_timers`
+    clamps it further to the sweep's job count.
     """
     if raw is None:
         return 1, None
@@ -54,7 +55,7 @@ def worker_count(raw: str | None, jobs: int, cpus: int | None) -> tuple[int, str
         cap = 0
     if cap < 1:
         return 1, f"ignoring TIMERULES_MAX_WORKERS={raw!r}: expected an integer >= 1"
-    return min(cap, jobs, cpus or 1), None
+    return min(cap, cpus or 1), None
 
 
 def _add_analyze(subparsers) -> None:
@@ -208,9 +209,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             )
             for name in attributes
         ]
-        jobs = rule_generator_run_count(args.min_window, args.max_window)
     workers, warning = worker_count(
-        os.environ.get("TIMERULES_MAX_WORKERS"), jobs, os.cpu_count()
+        os.environ.get("TIMERULES_MAX_WORKERS"), os.cpu_count()
     )
     if warning:
         print(f"timerules: warning: {warning}", file=sys.stderr)

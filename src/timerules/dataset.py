@@ -250,15 +250,19 @@ def _infer_column(
     observed = [t for t in tokens if t != MISSING_TOKEN]
     if not observed:
         raise DataError(f"column {name!r} has no observed values")
-    numbers = [None if t == MISSING_TOKEN else _parse_number(t) for t in tokens]
-    if numbers.count(None) == len(tokens) - len(observed):  # every cell parsed
-        for i, value in enumerate(numbers):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DataError(
-                    f"{where}: row {first_line + i}, column {name!r}: "
-                    f"{tokens[i]!r} is not a finite number"
-                )
-        return AttributeSchema(name, "numeric"), numbers
+    text = "".join(observed)
+    # int() and float() also read `1_0` and non-ASCII digits such as `٣`,
+    # which a CSV means as symbols
+    if text.isascii() and "_" not in text:
+        numbers = [None if t == MISSING_TOKEN else _parse_number(t) for t in tokens]
+        if numbers.count(None) == len(tokens) - len(observed):  # every cell parsed
+            for i, value in enumerate(numbers):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise DataError(
+                        f"{where}: row {first_line + i}, column {name!r}: "
+                        f"{tokens[i]!r} is not a finite number"
+                    )
+            return AttributeSchema(name, "numeric"), numbers
     domain = tuple(dict.fromkeys(observed))
     values = [None if t == MISSING_TOKEN else t for t in tokens]
     return AttributeSchema(name, "discrete", domain), values
@@ -267,15 +271,16 @@ def _infer_column(
 def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> EventSequence:
     """Load a comma-separated UTF-8 file into an EventSequence.
 
-    A column is typed numeric iff every non-missing cell parses as a
-    number; otherwise it is discrete with its symbols collected in
+    A leading byte-order mark is skipped. A column is typed numeric iff
+    every non-missing cell is an ASCII decimal or float literal without
+    `_` separators; otherwise it is discrete with its symbols collected in
     first-appearance order. A numeric column may not hold `nan` or
     `inf`: no threshold can order them. Row order is preserved as the
     temporal order.
     """
     if header_mode not in ("first-row-names", "positional"):
         raise ValueError(f"unknown header_mode {header_mode!r}")
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle)]
     if not rows:
         raise DataError(f"{path}: file is empty")

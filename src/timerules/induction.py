@@ -1,11 +1,12 @@
-"""Gain-ratio decision tree induction and rule-list classification.
+"""Gain-ratio decision tree induction and tree classification.
 
 The learner grows a tree over a temporalised dataset: discrete columns
 split multiway on their full domain (value-absent branches become leaves
 carrying the node majority), numeric columns split at midpoints between
-consecutive observed values. Root-to-leaf paths are extracted as rules
-sharing one decision column; classification is first-match over that
-list with a global default class as fallback.
+consecutive observed values. The tree is the rule set: its root-to-leaf
+paths, read off on demand, are the rules, all sharing one decision
+column. A record is classified by the one leaf it reaches; a symbol no
+branch covers sends it to the global default class.
 
 The learner reads the training set's column views and their small-int
 pair codes, `value_code * C + class_code` for C classes, where a numeric
@@ -24,7 +25,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping
 
 from .dataset import DataError
 from .temporalise import TemporalisedDataset, column_name
@@ -45,15 +47,8 @@ class Condition:
     def column(self) -> str:
         return column_name(self.attribute, self.time)
 
-    def holds(self, observed: object) -> bool:
-        if self.op == "=":
-            return observed == self.value
-        if self.op == "<=":
-            return observed <= self.value  # type: ignore[operator]
-        return observed > self.value  # type: ignore[operator]
-
     def render(self) -> str:
-        return f"{self.column}{self.op}{_format_value(self.value)}"
+        return f"{self.column}{self.op}{self.value}"
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,7 @@ class Rule:
     def render(self) -> str:
         decision = (
             f"{column_name(self.decision_attribute, self.decision_time)}"
-            f"={_format_value(self.decision_value)}"
+            f"={self.decision_value}"
         )
         if not self.conditions:
             return f"IF TRUE THEN {decision}"
@@ -78,28 +73,24 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """All leaf-path rules of one induced tree, in extraction order.
+    """One induced tree, read as the rule set of its root-to-leaf paths.
 
-    The optional tree is an equivalent fast matcher: for tree-derived
-    rules exactly one rule fires per in-domain record, so traversal and
-    first-match scanning agree (property-tested).
+    `classify` and `evaluate` route records down the tree. `rules` are
+    its leaf paths in extraction order (discrete branches in domain
+    order, a numeric split's low side first), so exactly one rule holds
+    for each record the tree covers.
     """
 
-    rules: tuple[Rule, ...]
+    tree: object = field(repr=False)
     default_class: object
     decision_attribute: str
     decision_time: int
-    tree: object | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.rules:
-            raise DataError("a rule set must contain at least one rule")
-        for rule in self.rules:
-            if (rule.decision_attribute, rule.decision_time) != (
-                self.decision_attribute,
-                self.decision_time,
-            ):
-                raise DataError("all rules in a set must share the decision column")
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        out: list[Rule] = []
+        _extract_rules(self.tree, [], out, self.decision_attribute, self.decision_time)
+        return tuple(out)
 
     @property
     def size(self) -> int:
@@ -118,12 +109,6 @@ class EvalResult:
     rule_size: int
     test_set_size: int
     training_set_size: int
-
-
-def _format_value(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)
 
 
 @dataclass
@@ -295,46 +280,34 @@ class _TreeBuilder:
         return best
 
 
-def _children(node) -> list:
-    if isinstance(node, _DiscreteSplit):
-        return list(node.branches.values())
-    return [node.low, node.high]
+def _leaves(node, columns: Mapping, indices: list[int]):
+    """Yield (leaf value, rows reaching that leaf) for the rows `indices`.
 
-
-def _split_rows(node, column: Sequence, indices: list[int]):
-    """Rows per child of a split node, aligned with `_children(node)`.
-
-    Also returns the rows whose symbol has no branch.
+    `columns` maps (attribute, time) to a column. Rows whose symbol has
+    no branch leave the tree; they come first, with value None.
     """
+    if isinstance(node, _Leaf):
+        yield node.value, indices
+        return
+    column = columns[node.attribute, node.time]
     if isinstance(node, _NumericSplit):
         threshold = node.threshold
         low: list[int] = []
         high: list[int] = []
         for i in indices:
             (low if column[i] <= threshold else high).append(i)
-        return [low, high], []
-    parts: dict = {symbol: [] for symbol in node.branches}
-    stray: list[int] = []
-    for i in indices:
-        parts.get(column[i], stray).append(i)
-    return list(parts.values()), stray
-
-
-def _leaves(node, columns: Mapping, indices: list[int]):
-    """Yield (leaf value, rows reaching that leaf) for the rows `indices`.
-
-    `columns` maps (attribute, time) to a column; rows that leave the
-    covered space are yielded with value None.
-    """
-    if isinstance(node, _Leaf):
-        yield node.value, indices
-        return
-    parts, stray = _split_rows(node, columns[node.attribute, node.time], indices)
-    if stray:
-        yield None, stray
-    for child, part in zip(_children(node), parts):
-        if part:
-            yield from _leaves(child, columns, part)
+        parts = zip((node.low, node.high), (low, high))
+    else:
+        groups: dict = {symbol: [] for symbol in node.branches}
+        stray: list[int] = []
+        for i in indices:
+            groups.get(column[i], stray).append(i)
+        if stray:
+            yield None, stray
+        parts = zip(node.branches.values(), groups.values())
+    for child, rows in parts:
+        if rows:
+            yield from _leaves(child, columns, rows)
 
 
 def _extract_rules(node, path, out, decision_attribute, decision_time):
@@ -358,7 +331,7 @@ def _extract_rules(node, path, out, decision_attribute, decision_time):
 
 
 def induce(train: TemporalisedDataset) -> RuleSet:
-    """Grow a gain-ratio tree over `train` and extract its leaf paths."""
+    """Grow a gain-ratio tree over `train`; its leaf paths are the rules."""
     if train.n == 0:
         raise DataError("empty training data")
     decision = train.decision_schema
@@ -367,18 +340,12 @@ def induce(train: TemporalisedDataset) -> RuleSet:
 
     builder = _TreeBuilder(train)
     indices = list(range(train.n))
-    tree = builder.build(indices)
-
-    rules: list[Rule] = []
     d, pos = train.decision_column
-    _extract_rules(tree, [], rules, d, pos)
-    default = builder.majority(builder.class_counts(indices))
     return RuleSet(
-        rules=tuple(rules),
-        default_class=default,
+        tree=builder.build(indices),
+        default_class=builder.majority(builder.class_counts(indices)),
         decision_attribute=d,
         decision_time=pos,
-        tree=tree,
     )
 
 
@@ -393,15 +360,8 @@ def _reject_missing_columns(required, available, where: str) -> None:
         raise DataError(f"{where} is missing tested column(s): {', '.join(missing)}")
 
 
-def _first_match(rule_set: RuleSet, record: Mapping[str, object]) -> object:
-    for rule in rule_set.rules:
-        if all(c.holds(record[c.column]) for c in rule.conditions):
-            return rule.decision_value
-    return rule_set.default_class
-
-
 def classify(rule_set: RuleSet, record: Mapping[str, object]) -> object:
-    """Apply the first rule whose conditions all hold, else the default.
+    """The value of the leaf `record` reaches, else the default class.
 
     The record maps column names like "x@t1" to values and must carry
     every column the rules test.
@@ -409,8 +369,6 @@ def classify(rule_set: RuleSet, record: Mapping[str, object]) -> object:
     names = {(a, t): column_name(a, t) for a, t in _required_columns(rule_set)}
     columns = {key: (record[name],) for key, name in names.items() if name in record}
     _reject_missing_columns(names, columns, "record")
-    if rule_set.tree is None:
-        return _first_match(rule_set, record)
     ((value, _),) = _leaves(rule_set.tree, columns, [0])
     return rule_set.default_class if value is None else value
 
@@ -421,14 +379,6 @@ def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
         raise DataError("cannot evaluate on an empty dataset")
     columns = dict(zip(data.condition_columns, data.columns))
     _reject_missing_columns(_required_columns(rule_set), columns, "dataset")
-
-    if rule_set.tree is None:
-        names = [column_name(attr, time) for attr, time in data.condition_columns]
-        hits = sum(
-            _first_match(rule_set, dict(zip(names, record))) == record[-1]
-            for record in data.records
-        )
-        return hits / data.n
     decisions = data.decisions
     hits = 0
     for value, rows in _leaves(rule_set.tree, columns, list(range(data.n))):

@@ -1,18 +1,19 @@
 """Temporal character of rule sets: instantaneous, p-causal, acausal, mixed.
 
 A rule set is judged by where its condition times sit relative to the
-decision time t0: all at t0 (instantaneous), all strictly before
-(p-causal), none at t0 with at least one after (acausal), anything else
-mixed. Conceptual simplicity orders the first three:
-instantaneous < acausal < p-causal.
+decision time t0 its rules share: all at t0 (instantaneous), all
+strictly before (p-causal), none at t0 with at least one after
+(acausal), anything else mixed. Conceptual simplicity orders the first
+three: instantaneous < acausal < p-causal.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence
 
 from .dataset import DataError
-from .induction import RuleSet
+from .induction import Rule
 
 
 class RelationKind(Enum):
@@ -53,16 +54,19 @@ def declared_kind(w: int, pos: int) -> RelationKind:
     return RelationKind.ACAUSAL
 
 
-def classify_rule_set(rule_set: RuleSet) -> RelationKind:
-    """Judge a rule set by its condition times relative to the decision time.
+def classify_rule_set(rules: Sequence[Rule]) -> RelationKind:
+    """Judge rules by their condition times relative to their decision time.
 
-    Rules with no conditions carry no temporal evidence and are ignored;
-    a set with no conditioned rule at all cannot be judged.
+    The rules must share one decision column, whose time is t0. Rules
+    with no conditions carry no temporal evidence and are ignored; a set
+    with no conditioned rule at all cannot be judged.
     """
-    t0 = rule_set.decision_time
-    conditioned = [rule for rule in rule_set.rules if rule.conditions]
+    if len({(rule.decision_attribute, rule.decision_time) for rule in rules}) > 1:
+        raise DataError("all rules in a set must share the decision column")
+    conditioned = [rule for rule in rules if rule.conditions]
     if not conditioned:
         raise DataError("unclassifiable: no conditions")
+    t0 = conditioned[0].decision_time
     times = [c.time for rule in conditioned for c in rule.conditions]
     if all(t == t0 for t in times):
         return RelationKind.INSTANTANEOUS

@@ -360,7 +360,7 @@ def _run_single(
         test_size = test_set.n
     declared = declared_kind(w, pos)
     if any(rule.conditions for rule in rule_set.rules):
-        actual = classify_rule_set(rule_set)
+        actual = classify_rule_set(rule_set.rules)
     else:
         # a bare majority rule carries no temporal evidence either way
         actual = declared
@@ -399,7 +399,8 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
     The decision attribute's values are treated as class labels; numeric
     columns are relabelled accordingly before the sweep. When alpha is 1
     the window range already holds (1, 1), which still runs only once.
-    The sweep is deterministic regardless of worker count.
+    The sweep is deterministic regardless of worker count, and uses no
+    more workers than it has jobs: a single job starts no process pool.
     """
     data.attribute(spec.d)
     train, test = split_chronological(as_discrete(data, spec.d), spec.test_count)
@@ -413,6 +414,7 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
         + [(w, pos) for w in range(spec.alpha, spec.beta + 1) for pos in range(1, w + 1)]
     )
     jobs = [(spec.d, w, pos) for w, pos in windows]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(train, test)

@@ -39,38 +39,54 @@ def best_tree_correct_count(rows: list[tuple], n_attrs: int) -> int:
     return best(tuple(range(len(rows))), frozenset(range(n_attrs)))
 
 
-def condition_times(rule_set) -> list[int]:
-    return [
-        condition.time
-        for rule in rule_set.rules
-        if rule.conditions
-        for condition in rule.conditions
-    ]
+# The three definitions read rules that share one decision time.
 
 
-def definition_instantaneous(rule_set) -> bool:
+def condition_times(rules) -> list[int]:
+    return [condition.time for rule in rules for condition in rule.conditions]
+
+
+def definition_instantaneous(rules) -> bool:
     """Every condition in every conditioned rule sits at the decision time."""
-    t0 = rule_set.decision_time
-    times = condition_times(rule_set)
-    return bool(times) and all(t == t0 for t in times)
+    times = condition_times(rules)
+    return bool(times) and all(t == rules[0].decision_time for t in times)
 
 
-def definition_p_causal(rule_set) -> bool:
+def definition_p_causal(rules) -> bool:
     """Every condition in every conditioned rule precedes the decision time."""
-    t0 = rule_set.decision_time
-    times = condition_times(rule_set)
-    return bool(times) and all(t < t0 for t in times)
+    times = condition_times(rules)
+    return bool(times) and all(t < rules[0].decision_time for t in times)
 
 
-def definition_acausal(rule_set) -> bool:
+def definition_acausal(rules) -> bool:
     """No condition at the decision time, and some condition after it."""
-    t0 = rule_set.decision_time
-    times = condition_times(rule_set)
+    times = condition_times(rules)
     return (
         bool(times)
-        and all(t != t0 for t in times)
-        and any(t > t0 for t in times)
+        and all(t != rules[0].decision_time for t in times)
+        and any(t > rules[0].decision_time for t in times)
     )
+
+
+def condition_holds(condition, observed) -> bool:
+    """Whether a value satisfies a `=`, `<=` or `>` condition."""
+    if condition.op == "=":
+        return observed == condition.value
+    if condition.op == "<=":
+        return observed <= condition.value
+    return observed > condition.value
+
+
+def first_match(rules, default, record) -> object:
+    """The decision of the first rule whose conditions all hold, else `default`.
+
+    This is the classic reading of a rule list, one rule at a time, with
+    no tree. `record` maps column names such as "x@t1" to values.
+    """
+    for rule in rules:
+        if all(condition_holds(c, record[c.column]) for c in rule.conditions):
+            return rule.decision_value
+    return default
 
 
 # --- reference tree learner -------------------------------------------------

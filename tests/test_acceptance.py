@@ -273,7 +273,7 @@ def test_criterion_8_learner_matches_exhaustive_tree_oracle():
 
 
 def test_criterion_9_classification_exclusivity():
-    from timerules.induction import Condition, Rule, RuleSet
+    from timerules.induction import Condition, Rule
     from timerules.semantics import classify_rule_set
 
     rng = random.Random(97)
@@ -295,17 +295,12 @@ def test_criterion_9_classification_exclusivity():
             rules.append(Rule(conditions, "k", t0, "cls"))
         if not any(rule.conditions for rule in rules):
             rules[0] = Rule((Condition("c0", rng.randint(1, w), "=", "v"),), "k", t0, "cls")
-        rule_set = RuleSet(
-            rules=tuple(rules),
-            default_class="cls",
-            decision_attribute="k",
-            decision_time=t0,
-        )
-        kind = classify_rule_set(rule_set)
+        rules = tuple(rules)
+        kind = classify_rule_set(rules)
         flags = (
-            definition_instantaneous(rule_set),
-            definition_p_causal(rule_set),
-            definition_acausal(rule_set),
+            definition_instantaneous(rules),
+            definition_p_causal(rules),
+            definition_acausal(rules),
         )
         assert sum(flags) <= 1
         assert kind == kind_of[flags]

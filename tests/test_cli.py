@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
 import timerules.cli
+import timerules.verdict
 from timerules.cli import main, worker_count
 from timerules.dataset import load_csv
 
@@ -21,6 +23,30 @@ def robot_csv(tmp_path, capsys):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every process pool a sweep starts; jobs run in this process."""
+    sizes = []
+
+    class PoolSpy:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(timerules.verdict, "ProcessPoolExecutor", PoolSpy)
+    monkeypatch.setattr(timerules.verdict, "_worker_data", None)
+    return sizes
 
 
 class TestGenerate:
@@ -176,6 +202,20 @@ class TestAnalyze:
         assert code == 0
         assert fallback == baseline
 
+    def test_one_job_sweep_starts_no_pool(
+        self, robot_csv, capsys, monkeypatch, pool_sizes
+    ):
+        # the window range 1..1 holds the single job (1, 1)
+        monkeypatch.setenv("TIMERULES_MAX_WORKERS", "4")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        code, stdout, _ = run(
+            capsys, "analyze", "--data", str(robot_csv), "--decision", "x",
+            "--min-window", "1", "--max-window", "1",
+        )
+        assert code == 0
+        assert pool_sizes == []
+        assert sum(line[:1].isdigit() for line in stdout.splitlines()) == 1
+
     def test_invalid_worker_cap_warns(self, robot_csv, capsys, monkeypatch):
         monkeypatch.setenv("TIMERULES_MAX_WORKERS", "0")
         code, stdout, err = run(
@@ -255,9 +295,13 @@ class TestTemporaliseDump:
         assert code == 2
 
 
+# window ranges whose sweeps run 15 and 3 jobs
+WINDOWS_FOR_JOBS = {15: ("2", "5"), 3: ("1", "2")}
+
+
 class TestWorkerCount:
     def test_unset_means_one_worker(self):
-        assert worker_count(None, jobs=15, cpus=8) == (1, None)
+        assert worker_count(None, cpus=8) == (1, None)
 
     @pytest.mark.parametrize(
         ("raw", "jobs", "cpus", "expected"),
@@ -271,11 +315,25 @@ class TestWorkerCount:
             (" 3 ", 15, 8, 3),
         ],
     )
-    def test_clamped_to_jobs_and_cpus(self, raw, jobs, cpus, expected):
-        assert worker_count(raw, jobs, cpus) == (expected, None)
+    def test_clamped_to_jobs_and_cpus(
+        self, raw, jobs, cpus, expected, tmp_path, capsys, monkeypatch, pool_sizes
+    ):
+        data = tmp_path / "walk.csv"
+        run(capsys, "generate", "robot", "--steps", "80", "--seed", "1",
+            "--out", str(data))
+        monkeypatch.setenv("TIMERULES_MAX_WORKERS", raw)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        alpha, beta = WINDOWS_FOR_JOBS[jobs]
+        code, stdout, _ = run(
+            capsys, "analyze", "--data", str(data), "--decision", "x",
+            "--min-window", alpha, "--max-window", beta,
+        )
+        assert code == 0
+        assert sum(line[:1].isdigit() for line in stdout.splitlines()) == jobs
+        assert pool_sizes == ([] if expected == 1 else [expected])
 
     @pytest.mark.parametrize("raw", ["0", "-3", "not-a-number", "", "2.5"])
     def test_invalid_values_warn_and_use_one_worker(self, raw):
-        count, warning = worker_count(raw, jobs=15, cpus=8)
+        count, warning = worker_count(raw, cpus=8)
         assert count == 1
         assert repr(raw) in warning

@@ -91,6 +91,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 1, column 'a2'"):
             load_csv(path, header_mode="positional")
 
+    def test_python_only_number_spellings_are_symbols(self, tmp_path):
+        # int() reads "1_0" as 10 and "٣" (Arabic-Indic three) as 3
+        data = load_csv(write(tmp_path, "d\n10\n1_0\n?\n3\n٣\n1_0.5\n"))
+        assert data.schema[0].kind == "discrete"
+        assert data.schema[0].domain == ("10", "1_0", "3", "٣", "1_0.5")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("x,y\n1,a\n2,b\n".encode("utf-8-sig"))
+        data = load_csv(path)
+        assert data.attribute_names == ("x", "y")
+        assert data.column("x") == [1, 2]
+
     def test_nan_symbol_in_discrete_column_is_a_symbol(self, tmp_path):
         data = load_csv(write(tmp_path, "v\nnan\nlow\n"))
         assert data.schema[0].domain == ("nan", "low")

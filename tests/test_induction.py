@@ -11,19 +11,12 @@ from timerules.dataset import (
     EventSequence,
     split_chronological,
 )
-from timerules.induction import (
-    Condition,
-    Rule,
-    RuleSet,
-    _first_match,
-    classify,
-    evaluate,
-    induce,
-)
+from timerules.induction import Condition, Rule, classify, evaluate, induce
+from timerules.semantics import classify_rule_set
 from timerules.temporalise import TemporalisationSpec, column_name, temporalise
 from timerules.worlds import RobotWorldConfig, generate_robot_walk
 
-from oracles import ReferenceTree, best_tree_correct_count
+from oracles import ReferenceTree, best_tree_correct_count, condition_holds, first_match
 
 
 def empty_like(data):
@@ -49,6 +42,57 @@ def flat_table(rows, kinds=None, names=None):
     )
     data = EventSequence(schema=tuple(schema), records=records)
     return temporalise(TemporalisationSpec(w=1, pos=1, d=names[-1]), data)
+
+
+NUMERIC_POOL = (-2, 0, 1, 1.0, 1.5, 2, 2.0, 3, 7.25, 10)
+SYMBOL_POOL = ("p", "q", "r")
+UNSEEN_SYMBOL = "s"
+CLASS_POOL = ("A", "B", "C", "D")
+
+
+@st.composite
+def random_tables(draw):
+    """A training and a test sequence over one random schema, with its window.
+
+    Condition attributes mix discrete and numeric kinds; numeric cells
+    repeat and mix int and float (1 and 1.0 are equal values); the
+    decision attribute has three or four classes in a shuffled domain.
+    The test sequence's discrete domains add a symbol training never
+    sees, which no branch of a learned tree covers.
+    """
+    m = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(("discrete", "numeric")), min_size=m, max_size=m))
+    classes = draw(st.permutations(CLASS_POOL[: draw(st.integers(3, 4))]))
+    d_index = draw(st.integers(0, m))
+    schema = [
+        AttributeSchema(f"c{j}", "discrete", SYMBOL_POOL)
+        if kind == "discrete"
+        else AttributeSchema(f"c{j}", "numeric")
+        for j, kind in enumerate(kinds)
+    ]
+    schema.insert(d_index, AttributeSchema("k", "discrete", tuple(classes)))
+    test_schema = [
+        replace(a, domain=a.domain + (UNSEEN_SYMBOL,)) if a.name != "k" and a.domain else a
+        for a in schema
+    ]
+
+    def rows(symbols, min_size, max_size):
+        cells = [
+            st.sampled_from(symbols) if kind == "discrete" else st.sampled_from(NUMERIC_POOL)
+            for kind in kinds
+        ]
+        cells.insert(d_index, st.sampled_from(classes))
+        return draw(st.lists(st.tuples(*cells), min_size=min_size, max_size=max_size))
+
+    train_rows = rows(SYMBOL_POOL, 4, 40)
+    assume(len({r[d_index] for r in train_rows}) >= 3)
+    test_rows = rows(SYMBOL_POOL + (UNSEEN_SYMBOL,), 3, 15)
+    w = draw(st.integers(1, 3))
+    pos = draw(st.integers(1, w))
+    spec = TemporalisationSpec(w=w, pos=pos, d="k")
+    train = EventSequence(schema=tuple(schema), records=tuple(train_rows))
+    test = EventSequence(schema=tuple(test_schema), records=tuple(test_rows))
+    return temporalise(spec, train), temporalise(spec, test)
 
 
 class TestInduce:
@@ -171,64 +215,56 @@ class TestInduce:
                 fired = [
                     rule
                     for rule in rule_set.rules
-                    if all(c.holds(mapping[c.column]) for c in rule.conditions)
+                    if all(condition_holds(c, mapping[c.column]) for c in rule.conditions)
                 ]
                 assert len(fired) == 1
 
 
 class TestClassify:
     def forward_rule_set(self):
-        rule = Rule(
-            conditions=(
-                Condition("x", 1, "=", "1"),
-                Condition("a", 1, "=", "Right"),
-            ),
-            decision_attribute="x",
-            decision_time=2,
-            decision_value="2",
-        )
-        return RuleSet(
-            rules=(rule,), default_class="1", decision_attribute="x", decision_time=2
-        )
+        # x@t2 is x@t1 moved one step by the action a@t1
+        rows = [("1", "R", "2"), ("1", "L", "1"), ("2", "R", "3"), ("2", "L", "1")]
+        return induce(flat_table(rows, names=["x", "a", "k"]))
 
     def test_matching_record(self):
-        assert classify(self.forward_rule_set(), {"x@t1": "1", "a@t1": "Right"}) == "2"
+        assert classify(self.forward_rule_set(), {"x@t1": "1", "a@t1": "R"}) == "2"
+        assert classify(self.forward_rule_set(), {"x@t1": "2", "a@t1": "R"}) == "3"
 
     def test_empty_condition_rule_always_fires(self):
-        rule_set = RuleSet(
-            rules=(Rule((), "k", 1, "yes"),),
-            default_class="yes",
-            decision_attribute="k",
-            decision_time=1,
-        )
+        rule_set = induce(flat_table([("a", "yes"), ("b", "yes")]))
+        assert rule_set.rules == (Rule((), "k", 1, "yes"),)
         assert classify(rule_set, {}) == "yes"
         assert classify(rule_set, {"anything@t1": "?"}) == "yes"
 
     def test_no_match_falls_back_to_default(self):
-        assert classify(self.forward_rule_set(), {"x@t1": "4", "a@t1": "Left"}) == "1"
+        # "zz" has no branch; the first branch ("p") would say B
+        rule_set = induce(flat_table([("p", "B"), ("q", "A"), ("r", "A")]))
+        assert rule_set.default_class == "A"
+        assert classify(rule_set, {"c0@t1": "zz"}) == "A"
+        assert classify(rule_set, {"c0@t1": "p"}) == "B"
 
     def test_missing_tested_column(self):
         with pytest.raises(DataError, match="a@t1"):
             classify(self.forward_rule_set(), {"x@t1": "1"})
 
-    def test_tree_and_scan_agree(self):
-        rng = random.Random(21)
-        for _ in range(15):
-            rows = [
-                (rng.choice("pqr"), str(rng.randint(0, 2)), rng.choice("AB"))
-                for _ in range(rng.randint(2, 25))
-            ]
-            train = flat_table(rows)
-            rule_set = induce(train)
-            assert rule_set.tree is not None
-            names = [column_name(a, t) for a, t in train.condition_columns]
-            probes = [dict(zip(names, r)) for r in train.records]
-            probes += [
-                {name: rng.choice(["p", "q", "r", "0", "1", "2", "zz"]) for name in names}
-                for _ in range(10)
-            ]
-            for record in probes:
-                assert classify(rule_set, record) == _first_match(rule_set, record)
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(tables=random_tables())
+    def test_tree_and_scan_agree(self, tables):
+        # classify routes down the tree; the oracle scans the rule list
+        rule_set = induce(tables[0])
+        for data in tables:
+            names = [column_name(a, t) for a, t in data.condition_columns]
+            hits = 0
+            for record in data.records:
+                mapping = dict(zip(names, record))
+                expected = first_match(rule_set.rules, rule_set.default_class, mapping)
+                assert classify(rule_set, mapping) == expected
+                hits += expected == record[-1]
+            assert evaluate(rule_set, data) == hits / data.n
 
 
 class TestEvaluate:
@@ -238,13 +274,10 @@ class TestEvaluate:
         assert evaluate(rule_set, train) == 1.0
 
     def test_default_only_counts_majority(self):
+        # no condition column exists, so the tree is one majority leaf
         data = flat_table([("A",), ("A",), ("A",), ("B",)], names=["k"])
-        rule_set = RuleSet(
-            rules=(Rule((), "k", 1, "A"),),
-            default_class="A",
-            decision_attribute="k",
-            decision_time=1,
-        )
+        rule_set = induce(data)
+        assert rule_set.rules == (Rule((), "k", 1, "A"),)
         assert evaluate(rule_set, data) == 0.75
 
     def test_robot_forward_holds_out_of_sample(self):
@@ -320,6 +353,24 @@ class TestRendering:
         rule = Rule((), "k", 1, "c")
         assert rule.render() == "IF TRUE THEN k@t1=c"
 
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(tables=random_tables())
+    def test_rendered_thresholds_are_exact(self, tables):
+        edge = flat_table(
+            [(1000000, "A"), (1000001, "B"), (0.1234561, "A"), (0.1234562, "B")],
+            kinds=["numeric", "discrete"],
+        )
+        for train in (edge, tables[0]):
+            for rule in induce(train).rules:
+                for condition in rule.conditions:
+                    if condition.op != "=":
+                        text = condition.render().partition(condition.op)[2]
+                        assert float(text) == condition.value
+
     def test_rule_set_render_is_line_per_rule(self):
         train = flat_table(
             [("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0")]
@@ -331,54 +382,24 @@ class TestRendering:
 
 class TestRuleSetInvariants:
     def test_rules_required(self):
-        with pytest.raises(DataError):
-            RuleSet(rules=(), default_class="a", decision_attribute="k", decision_time=1)
+        for rows, names in (
+            ([("A",)], ["k"]),  # one record, no condition column
+            ([("p", "A")], None),  # one record
+            ([("p", "A"), ("q", "B")], None),
+        ):
+            rule_set = induce(flat_table(rows, names=names))
+            assert rule_set.size == len(rule_set.rules) >= 1
 
     def test_shared_decision_enforced(self):
-        rules = (Rule((), "k", 1, "a"), Rule((), "j", 1, "a"))
+        rule_set = induce(
+            flat_table([("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0")])
+        )
+        assert {(r.decision_attribute, r.decision_time) for r in rule_set.rules} == {
+            ("k", 1)
+        }
+        odd = Rule((Condition("c0", 1, "=", "0"),), "j", 1, "0")
         with pytest.raises(DataError, match="share the decision"):
-            RuleSet(rules=rules, default_class="a", decision_attribute="k", decision_time=1)
-
-
-NUMERIC_POOL = (-2, 0, 1, 1.0, 1.5, 2, 2.0, 3, 7.25, 10)
-SYMBOL_POOL = ("p", "q", "r")
-CLASS_POOL = ("A", "B", "C", "D")
-
-
-@st.composite
-def random_tables(draw):
-    """A training and a test sequence over one random schema, with its window.
-
-    Condition attributes mix discrete and numeric kinds; numeric cells
-    repeat and mix int and float (1 and 1.0 are equal values); the
-    decision attribute has three or four classes in a shuffled domain.
-    """
-    m = draw(st.integers(1, 3))
-    kinds = draw(st.lists(st.sampled_from(("discrete", "numeric")), min_size=m, max_size=m))
-    classes = draw(st.permutations(CLASS_POOL[: draw(st.integers(3, 4))]))
-    d_index = draw(st.integers(0, m))
-    schema = [
-        AttributeSchema(f"c{j}", "discrete", SYMBOL_POOL)
-        if kind == "discrete"
-        else AttributeSchema(f"c{j}", "numeric")
-        for j, kind in enumerate(kinds)
-    ]
-    schema.insert(d_index, AttributeSchema("k", "discrete", tuple(classes)))
-    cells = [
-        st.sampled_from(SYMBOL_POOL) if kind == "discrete" else st.sampled_from(NUMERIC_POOL)
-        for kind in kinds
-    ]
-    cells.insert(d_index, st.sampled_from(classes))
-    row = st.tuples(*cells)
-    train_rows = draw(st.lists(row, min_size=4, max_size=40))
-    assume(len({r[d_index] for r in train_rows}) >= 3)
-    test_rows = draw(st.lists(row, min_size=3, max_size=15))
-    w = draw(st.integers(1, 3))
-    pos = draw(st.integers(1, w))
-    spec = TemporalisationSpec(w=w, pos=pos, d="k")
-    train = EventSequence(schema=tuple(schema), records=tuple(train_rows))
-    test = EventSequence(schema=tuple(schema), records=tuple(test_rows))
-    return temporalise(spec, train), temporalise(spec, test)
+            classify_rule_set(rule_set.rules + (odd,))
 
 
 class TestReferenceAgreement:

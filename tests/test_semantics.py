@@ -3,7 +3,7 @@ import random
 import pytest
 
 from timerules.dataset import DataError
-from timerules.induction import Condition, Rule, RuleSet, induce
+from timerules.induction import Condition, Rule, induce
 from timerules.semantics import (
     RelationKind,
     classify_rule_set,
@@ -21,7 +21,7 @@ from oracles import (
 )
 
 
-def make_set(decision_time, condition_times_per_rule, include_empty_rule=False):
+def make_rules(decision_time, condition_times_per_rule, include_empty_rule=False):
     rules = []
     for i, times in enumerate(condition_times_per_rule):
         conditions = tuple(
@@ -30,63 +30,58 @@ def make_set(decision_time, condition_times_per_rule, include_empty_rule=False):
         rules.append(Rule(conditions, "k", decision_time, f"class{i % 2}"))
     if include_empty_rule:
         rules.append(Rule((), "k", decision_time, "class0"))
-    return RuleSet(
-        rules=tuple(rules),
-        default_class="class0",
-        decision_attribute="k",
-        decision_time=decision_time,
-    )
+    return tuple(rules)
 
 
 class TestClassifyRuleSet:
     def test_previous_step_only_is_p_causal(self):
-        rule_set = make_set(2, [[1, 1]])
-        assert classify_rule_set(rule_set) == RelationKind.P_CAUSAL
+        rules = make_rules(2, [[1, 1]])
+        assert classify_rule_set(rules) == RelationKind.P_CAUSAL
 
     def test_straddling_conditions_are_acausal(self):
         # conditions one step before and one step after the decision
-        rule_set = make_set(2, [[1, 3]])
-        assert classify_rule_set(rule_set) == RelationKind.ACAUSAL
+        rules = make_rules(2, [[1, 3]])
+        assert classify_rule_set(rules) == RelationKind.ACAUSAL
 
     def test_same_time_only_is_instantaneous(self):
-        rule_set = make_set(1, [[1, 1]])
-        assert classify_rule_set(rule_set) == RelationKind.INSTANTANEOUS
+        rules = make_rules(1, [[1, 1]])
+        assert classify_rule_set(rules) == RelationKind.INSTANTANEOUS
 
     def test_current_plus_past_is_mixed(self):
-        rule_set = make_set(2, [[2, 1]])
-        assert classify_rule_set(rule_set) == RelationKind.MIXED
+        rules = make_rules(2, [[2, 1]])
+        assert classify_rule_set(rules) == RelationKind.MIXED
 
     def test_future_only_is_acausal(self):
-        rule_set = make_set(1, [[2], [3]])
-        assert classify_rule_set(rule_set) == RelationKind.ACAUSAL
+        rules = make_rules(1, [[2], [3]])
+        assert classify_rule_set(rules) == RelationKind.ACAUSAL
 
     def test_no_conditions_unclassifiable(self):
-        rule_set = make_set(1, [[]])
+        rules = make_rules(1, [[]])
         with pytest.raises(DataError, match="unclassifiable"):
-            classify_rule_set(rule_set)
+            classify_rule_set(rules)
 
     def test_empty_condition_rules_are_ignored(self):
-        rule_set = make_set(3, [[1], [2]], include_empty_rule=True)
-        assert classify_rule_set(rule_set) == RelationKind.P_CAUSAL
+        rules = make_rules(3, [[1], [2]], include_empty_rule=True)
+        assert classify_rule_set(rules) == RelationKind.P_CAUSAL
 
 
 class TestReclassify:
     """The actual kind comes from the rules alone, whatever test produced them."""
 
     def test_acausal_test_yielding_past_rules(self):
-        rule_set = make_set(2, [[1], [1, 1]])
+        rules = make_rules(2, [[1], [1, 1]])
         assert declared_kind(3, 2) == RelationKind.ACAUSAL
-        assert classify_rule_set(rule_set) == RelationKind.P_CAUSAL
+        assert classify_rule_set(rules) == RelationKind.P_CAUSAL
 
     def test_agreement_case(self):
-        rule_set = make_set(3, [[1], [2]])
+        rules = make_rules(3, [[1], [2]])
         assert declared_kind(3, 3) == RelationKind.P_CAUSAL
-        assert classify_rule_set(rule_set) == RelationKind.P_CAUSAL
+        assert classify_rule_set(rules) == RelationKind.P_CAUSAL
 
     def test_acausal_stays_acausal(self):
-        rule_set = make_set(2, [[3]])
+        rules = make_rules(2, [[3]])
         assert declared_kind(3, 2) == RelationKind.ACAUSAL
-        assert classify_rule_set(rule_set) == RelationKind.ACAUSAL
+        assert classify_rule_set(rules) == RelationKind.ACAUSAL
 
 
 class TestDeclaredKind:
@@ -117,7 +112,7 @@ class TestSimplicity:
         ]
 
 
-def random_rule_set(rng):
+def random_rules(rng):
     t0 = rng.randint(1, 5)
     w = max(t0, rng.randint(1, 6))
     n_rules = rng.randint(1, 5)
@@ -126,19 +121,19 @@ def random_rule_set(rng):
         per_rule.append([rng.randint(1, w) for _ in range(rng.randint(0, 4))])
     if not any(per_rule):
         per_rule[0] = [rng.randint(1, w)]
-    return make_set(t0, per_rule)
+    return make_rules(t0, per_rule)
 
 
 class TestProperties:
     def test_exactly_one_kind_and_definitions_agree(self):
         rng = random.Random(23)
         for _ in range(2000):
-            rule_set = random_rule_set(rng)
-            kind = classify_rule_set(rule_set)
+            rules = random_rules(rng)
+            kind = classify_rule_set(rules)
             flags = (
-                definition_instantaneous(rule_set),
-                definition_p_causal(rule_set),
-                definition_acausal(rule_set),
+                definition_instantaneous(rules),
+                definition_p_causal(rules),
+                definition_acausal(rules),
             )
             assert sum(flags) <= 1
             expected = {
@@ -152,9 +147,9 @@ class TestProperties:
     def test_invariant_under_permutation(self):
         rng = random.Random(29)
         for _ in range(300):
-            rule_set = random_rule_set(rng)
-            kind = classify_rule_set(rule_set)
-            shuffled_rules = list(rule_set.rules)
+            rules = random_rules(rng)
+            kind = classify_rule_set(rules)
+            shuffled_rules = list(rules)
             rng.shuffle(shuffled_rules)
             shuffled_rules = [
                 Rule(
@@ -165,13 +160,7 @@ class TestProperties:
                 )
                 for rule in shuffled_rules
             ]
-            permuted = RuleSet(
-                rules=tuple(shuffled_rules),
-                default_class=rule_set.default_class,
-                decision_attribute=rule_set.decision_attribute,
-                decision_time=rule_set.decision_time,
-            )
-            assert classify_rule_set(permuted) == kind
+            assert classify_rule_set(tuple(shuffled_rules)) == kind
 
     def test_backward_looking_construction_never_acausal(self):
         # pos = w leaves no later-time column for rules to test
@@ -179,4 +168,4 @@ class TestProperties:
         for w in (2, 3, 4):
             spec = TemporalisationSpec(w=w, pos=w, d="x")
             rule_set = induce(temporalise(spec, series))
-            assert classify_rule_set(rule_set) != RelationKind.ACAUSAL
+            assert classify_rule_set(rule_set.rules) != RelationKind.ACAUSAL

@@ -1,13 +1,15 @@
 import pytest
 
-from timerules.induction import Condition, Rule, RuleSet, evaluate, induce
-from timerules.temporalise import TemporalisationSpec, temporalise
+from timerules.induction import Condition, Rule, evaluate, induce
+from timerules.temporalise import TemporalisationSpec, column_name, temporalise
 from timerules.worlds import (
     ACTIONS,
     RobotWorldConfig,
     generate_periodic,
     generate_robot_walk,
 )
+
+from oracles import first_match
 
 
 def transition(x, y, action, width, height):
@@ -106,11 +108,10 @@ class TestPeriodic:
             )
             for nxt in range(period)
         )
-        lookup = RuleSet(
-            rules=rules, default_class="0", decision_attribute="x", decision_time=1
-        )
-        assert lookup.size == period
-        assert evaluate(lookup, backward) == 1.0
+        names = [column_name(a, t) for a, t in backward.condition_columns]
+        for record in backward.records:
+            # no default: every record must be matched by its own rule
+            assert first_match(rules, None, dict(zip(names, record))) == record[-1]
 
     def test_instantaneous_accuracy_is_majority_share(self):
         period = 8
