@@ -25,6 +25,12 @@ from .worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
 USAGE_ERROR = 2
 DATA_ERROR = 3
 
+# the config keys of each generator kind, which are also its flag names
+_GENERATOR_KEYS = {
+    "robot": ("width", "height", "steps", "seed"),
+    "periodic": ("period", "steps"),
+}
+
 
 class UsageError(Exception):
     """A command-line value that failed validation."""
@@ -169,22 +175,34 @@ def _write_generated(kind: str, config: dict, out: Path) -> None:
     print(f"wrote {data.n} records to {out}")
 
 
+def _read_manifest(path: str) -> dict:
+    """The manifest at `path`, checked to have the shape `_write_generated` writes."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            manifest = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path} is not a JSON manifest: {exc}") from exc
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("kind"), str)
+        and manifest["kind"] in _GENERATOR_KEYS
+        and isinstance(manifest.get("config"), dict)
+        and set(manifest["config"]) == set(_GENERATOR_KEYS[manifest["kind"]])
+        and all(type(value) is int for value in manifest["config"].values())
+        and isinstance(manifest.get("csv"), str)
+    ):
+        raise DataError(f"{path} is not a manifest that 'timerules generate' writes")
+    return manifest
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "robot":
-        config = {key: getattr(args, key) for key in ("width", "height", "steps", "seed")}
-        _write_generated("robot", config, Path(args.out))
-    elif args.kind == "periodic":
-        _write_generated(
-            "periodic", {"period": args.period, "steps": args.steps}, Path(args.out)
-        )
-    else:
-        with open(args.manifest, encoding="utf-8") as handle:
-            try:
-                manifest = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{args.manifest} is not a JSON manifest: {exc}") from exc
+    if args.kind == "from-manifest":
+        manifest = _read_manifest(args.manifest)
         out = Path(args.out) if args.out else Path(args.manifest).parent / manifest["csv"]
         _write_generated(manifest["kind"], manifest["config"], out)
+    else:
+        config = {key: getattr(args, key) for key in _GENERATOR_KEYS[args.kind]}
+        _write_generated(args.kind, config, Path(args.out))
     return 0
 
 

@@ -4,13 +4,13 @@ Records are kept strictly in arrival order; the row index is the only
 notion of time. A cell holding the reserved token "?" is accepted at load
 time but poisons its record for any downstream analysis step.
 
-An `EventSequence` transposes its records into columns once, validates
-them column by column, and caches the small-int codes the tree learner
-reads: per attribute, each value's code (its domain index, or its rank
-among the sequence's sorted distinct numbers), and per (decision,
-attribute, row offset), the pair codes `value_code * C + class_code`.
-Every window of a sweep slices the same cached codes, which live as
-long as the sequence does.
+An `EventSequence` stores, validates and slices its columns, never
+rows, and caches the small-int codes the tree learner reads: per
+attribute, each value's code (its domain index, or its rank among the
+sequence's sorted distinct numbers), and per (decision, attribute, row
+offset), the pair codes `value_code * C + class_code`. Every window of
+a sweep slices the same cached codes, which live as long as the
+sequence does.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter
+from operator import add
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
@@ -64,78 +64,51 @@ class AttributeSchema:
 
 @dataclass(frozen=True)
 class EventSequence:
-    """An ordered table of records over a fixed attribute schema.
+    """An ordered table over a fixed attribute schema, stored as columns.
 
-    Record order is temporal order and is never rearranged. Instances are
-    immutable and safe to share between concurrent readers; the columns
-    and codes derived from the records are computed once, on first use.
+    `columns[j]` holds attribute j's values in record order; record order
+    is temporal order and is never rearranged. Instances are immutable
+    and safe to share between concurrent readers; the row view and the
+    codes derived from the columns are computed once, on first use.
     """
 
     schema: tuple[AttributeSchema, ...]
-    records: tuple[tuple[object, ...], ...]
+    columns: tuple[tuple[object, ...], ...]
 
     def __post_init__(self) -> None:
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             raise DataError("attribute names must be unique")
-        if not self._columns_conform():
-            self._check_records()
-
-    def _columns_conform(self) -> bool:
-        """One pass per column: exact number types, or symbols of the domain.
-
-        False when any check fails; the row scan then names the first
-        offending record, or accepts cells such as bools that are numbers
-        without being exactly int or float.
-        """
-        if not set(map(len, self.records)) <= {self.m}:
-            return False
+        if len(self.columns) != self.m:
+            raise DataError(
+                f"expected {self.m} columns, one per attribute, got {len(self.columns)}"
+            )
         for attribute, column in zip(self.schema, self.columns):
-            if attribute.kind == "numeric":
-                if not set(map(type, column)) <= _NUMBER_TYPES:
-                    return False
-            else:
-                try:
-                    if not set(column) - {None} <= set(attribute.domain):
-                        return False
-                except TypeError:  # an unhashable cell
-                    return False
-        return True
-
-    def _check_records(self) -> None:
-        m = len(self.schema)
-        domains = [
-            frozenset(a.domain) if a.kind == "discrete" else None for a in self.schema
-        ]
-        for i, record in enumerate(self.records):
-            if len(record) != m:
+            if len(column) != self.n:
                 raise DataError(
-                    f"record {i + 1} has {len(record)} values, expected {m}"
+                    f"column {attribute.name!r} has {len(column)} values, "
+                    f"expected {self.n}"
                 )
-            for attribute, domain, value in zip(self.schema, domains, record):
-                if value is None:
-                    continue
-                if domain is None:
-                    if not isinstance(value, (int, float)):
-                        raise DataError(
-                            f"record {i + 1}: {attribute.name} expects a number, "
-                            f"got {value!r}"
-                        )
-                elif value not in domain:
-                    raise DataError(
-                        f"record {i + 1}: {value!r} is outside the domain of "
-                        f"{attribute.name}"
-                    )
+        bad = [
+            (i, j)
+            for j, (attribute, column) in enumerate(zip(self.schema, self.columns))
+            if (i := _first_bad_row(attribute, column)) is not None
+        ]
+        if bad:
+            i, j = min(bad)
+            name, value = self.schema[j].name, self.columns[j][i]
+            if self.schema[j].kind == "numeric":
+                raise DataError(
+                    f"record {i + 1}: {name} expects a number, got {value!r}"
+                )
+            raise DataError(
+                f"record {i + 1}: {value!r} is outside the domain of {name}"
+            )
 
     @cached_property
-    def columns(self) -> tuple[tuple[object, ...], ...]:
-        """The records transposed: `columns[j]` holds attribute j in record order."""
-        return tuple(tuple(map(itemgetter(j), self.records)) for j in range(self.m))
-
-    @cached_property
-    def has_missing(self) -> bool:
-        """Whether any cell holds a missing value."""
-        return any(None in column for column in self.columns)
+    def records(self) -> tuple[tuple[object, ...], ...]:
+        """Row view: `records[i]` holds record i's values in schema order."""
+        return tuple(zip(*self.columns))
 
     def value_codes(self, name: str) -> array:
         """Small-int code of every value of one attribute, in record order.
@@ -192,7 +165,7 @@ class EventSequence:
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.columns[0]) if self.columns else 0
 
     @property
     def m(self) -> int:
@@ -203,10 +176,7 @@ class EventSequence:
         return tuple(a.name for a in self.schema)
 
     def attribute(self, name: str) -> AttributeSchema:
-        for a in self.schema:
-            if a.name == name:
-                return a
-        raise DataError(f"unknown attribute {name!r}")
+        return self.schema[self.column_index(name)]
 
     def column_index(self, name: str) -> int:
         for i, a in enumerate(self.schema):
@@ -214,23 +184,45 @@ class EventSequence:
                 return i
         raise DataError(f"unknown attribute {name!r}")
 
-    def column(self, name: str) -> list[object]:
-        return list(self.columns[self.column_index(name)])
-
     def to_csv(self, path: str | Path, header: bool = True) -> None:
         """Write the table back out; missing values become the "?" token."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            if header:
-                writer.writerow(self.attribute_names)
-            for record in self.records:
-                writer.writerow([format_cell(value) for value in record])
+        write_csv(path, self.attribute_names if header else None, self.records)
+
+
+def _first_bad_row(attribute: AttributeSchema, column: Sequence[object]) -> int | None:
+    """Index of the first cell of `column` that `attribute` cannot hold.
+
+    A numeric cell is an int or a float (bools included), a discrete one
+    a symbol of the domain; either kind may hold None.
+    """
+    if attribute.kind == "numeric":
+        if set(map(type, column)) <= _NUMBER_TYPES:
+            return None
+        fits = [value is None or isinstance(value, (int, float)) for value in column]
+    else:
+        try:
+            if {None, *attribute.domain}.issuperset(column):
+                return None
+        except TypeError:  # an unhashable cell
+            pass
+        # compared by equality, which never hashes the cell
+        fits = [value is None or value in attribute.domain for value in column]
+    return fits.index(False) if False in fits else None
 
 
 def format_cell(value: object) -> str:
     if value is None:
         return MISSING_TOKEN
     return str(value)
+
+
+def write_csv(path: str | Path, header: Sequence[str] | None, rows: Iterable) -> None:
+    """Write `header` (when given) and `rows`; missing values become "?"."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([format_cell(value) for value in row] for row in rows)
 
 
 def _parse_number(token: str) -> int | float | None:
@@ -246,7 +238,7 @@ def _parse_number(token: str) -> int | float | None:
 
 def _infer_column(
     name: str, tokens: Sequence[str], where: str, first_line: int
-) -> tuple[AttributeSchema, list[object]]:
+) -> tuple[AttributeSchema, tuple[object, ...]]:
     observed = [t for t in tokens if t != MISSING_TOKEN]
     if not observed:
         raise DataError(f"column {name!r} has no observed values")
@@ -262,9 +254,9 @@ def _infer_column(
                         f"{where}: row {first_line + i}, column {name!r}: "
                         f"{tokens[i]!r} is not a finite number"
                     )
-            return AttributeSchema(name, "numeric"), numbers
+            return AttributeSchema(name, "numeric"), tuple(numbers)
     domain = tuple(dict.fromkeys(observed))
-    values = [None if t == MISSING_TOKEN else t for t in tokens]
+    values = tuple([None if t == MISSING_TOKEN else t for t in tokens])
     return AttributeSchema(name, "discrete", domain), values
 
 
@@ -301,16 +293,14 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
                 f"{path}: row {line} has {len(row)} columns, expected {width}"
             )
 
-    columns = []
-    typed: list[list[object]] = []
+    schema, columns = [], []
     for j, name in enumerate(names):
-        schema, values = _infer_column(
+        attribute, values = _infer_column(
             name, [row[j].strip() for row in data], str(path), first_line
         )
-        columns.append(schema)
-        typed.append(values)
-    records = tuple(zip(*typed)) if typed else ()
-    return EventSequence(schema=tuple(columns), records=tuple(records))
+        schema.append(attribute)
+        columns.append(values)
+    return EventSequence(schema=tuple(schema), columns=tuple(columns))
 
 
 def split_chronological(data: EventSequence, test_count: int) -> tuple[EventSequence, EventSequence]:
@@ -322,8 +312,8 @@ def split_chronological(data: EventSequence, test_count: int) -> tuple[EventSequ
             f"test_count {test_count} must be smaller than the record count {data.n}"
         )
     cut = data.n - test_count
-    train = EventSequence(schema=data.schema, records=data.records[:cut])
-    test = EventSequence(schema=data.schema, records=data.records[cut:])
+    train = EventSequence(data.schema, tuple(c[:cut] for c in data.columns))
+    test = EventSequence(data.schema, tuple(c[cut:] for c in data.columns))
     return train, test
 
 
@@ -347,5 +337,5 @@ def as_discrete(data: EventSequence, name: str) -> EventSequence:
     schema = list(data.schema)
     schema[j] = AttributeSchema(name, "discrete", domain)
     columns = list(data.columns)
-    columns[j] = map(spelling.__getitem__, column)
-    return EventSequence(schema=tuple(schema), records=tuple(zip(*columns)))
+    columns[j] = tuple(map(spelling.__getitem__, column))
+    return EventSequence(schema=tuple(schema), columns=tuple(columns))

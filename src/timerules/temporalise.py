@@ -13,19 +13,18 @@ with every other attribute serving as a same-time condition.
 The flat records are held as column views, never built row by row: the
 column of attribute a at window time t is the slice of a's source
 column starting at source row t-1, so row i of it is source row i+t-1.
-Every (w, pos) of a sweep slices the same source columns, which the
-source sequence transposes once; the merged dataset keeps its source
+Every (w, pos) of a sweep slices the same source columns, which are the
+source sequence's own storage; the merged dataset keeps its source
 sequence, so the learner can reuse the codes cached there.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .dataset import AttributeSchema, DataError, EventSequence, format_cell
+from .dataset import AttributeSchema, DataError, EventSequence, write_csv
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,8 @@ class TemporalisedDataset:
 
     def to_csv(self, path: str | Path) -> None:
         """Debug dump with `attr@t<k>` headers, decision column last."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                [column_name(a, t) for a, t in self.condition_columns]
-                + [column_name(*self.decision_column)]
-            )
-            for record in self.records:
-                writer.writerow([format_cell(v) for v in record])
+        header = [column_name(a, t) for a, t in self.condition_columns]
+        write_csv(path, header + [column_name(*self.decision_column)], self.records)
 
 
 def temporalised_record_count(n: int, w: int) -> int:
@@ -129,14 +122,12 @@ def temporalised_record_count(n: int, w: int) -> int:
 
 
 def _reject_missing(data: EventSequence) -> None:
-    if not data.has_missing:
-        return
-    for i, record in enumerate(data.records):
-        if None in record:
-            raise DataError(
-                f"record {i + 1} contains a missing value; "
-                "records with '?' cells cannot be temporalised"
-            )
+    rows = [column.index(None) for column in data.columns if None in column]
+    if rows:
+        raise DataError(
+            f"record {min(rows) + 1} contains a missing value; "
+            "records with '?' cells cannot be temporalised"
+        )
 
 
 def temporalise(spec: TemporalisationSpec, data: EventSequence) -> TemporalisedDataset:
@@ -145,10 +136,9 @@ def temporalise(spec: TemporalisationSpec, data: EventSequence) -> TemporalisedD
     Each time-indexed column is one slice of a source column, so the
     flat records are never built row by row.
     """
-    d_index = data.column_index(spec.d)
+    data.attribute(spec.d)
     n = temporalised_record_count(data.n, spec.w)
     _reject_missing(data)
-    source = data.columns
 
     names = data.attribute_names
     if spec.w == 1:
@@ -156,11 +146,9 @@ def temporalise(spec: TemporalisationSpec, data: EventSequence) -> TemporalisedD
     else:
         times = [t for t in range(1, spec.w + 1) if t != spec.pos]
         condition_columns = tuple((name, t) for t in times for name in names)
-    index = {name: j for j, name in enumerate(names)}
-    columns = tuple(
-        source[index[name]][t - 1 : t - 1 + n] for name, t in condition_columns
-    )
-    decisions = source[d_index][spec.pos - 1 : spec.pos - 1 + n]
+    source = dict(zip(names, data.columns))
+    columns = tuple(source[name][t - 1 : t - 1 + n] for name, t in condition_columns)
+    decisions = source[spec.d][spec.pos - 1 : spec.pos - 1 + n]
 
     return TemporalisedDataset(
         condition_columns=condition_columns,

@@ -3,7 +3,8 @@
 The robot walk has a deterministic forward relation (next position
 follows from current position and chosen action) and an ambiguous
 backward one; the periodic series is perfectly predictable in both
-directions, so forward and backward tests tie.
+directions, so forward and backward tests tie. Both generators build
+their attribute columns directly, which the sequence stores as they are.
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ def generate_robot_walk(config: RobotWorldConfig) -> EventSequence:
     rng = random.Random(config.seed)
     x = rng.randint(1, config.width)
     y = rng.randint(1, config.height)
-    rows = []
+    xs, ys, actions = [], [], []
     for _ in range(config.steps):
         action = ACTIONS[rng.randrange(len(ACTIONS))]
-        rows.append((str(x), str(y), action))
+        xs.append(str(x))
+        ys.append(str(y))
+        actions.append(action)
         if action == "L":
             x = max(1, x - 1)
         elif action == "R":
@@ -55,7 +58,7 @@ def generate_robot_walk(config: RobotWorldConfig) -> EventSequence:
             y = max(1, y - 1)
         else:
             y = min(config.height, y + 1)
-    return _discrete_sequence(("x", "y", "a"), rows)
+    return _discrete_sequence({"x": xs, "y": ys, "a": actions})
 
 
 def generate_periodic(period: int, steps: int) -> EventSequence:
@@ -64,15 +67,13 @@ def generate_periodic(period: int, steps: int) -> EventSequence:
         raise ValueError(f"period must be >= 2, got {period}")
     if steps < period:
         raise ValueError(f"steps must cover one full period, got {steps} < {period}")
-    rows = [(str(i % period),) for i in range(steps)]
-    return _discrete_sequence(("x",), rows)
+    return _discrete_sequence({"x": [str(i % period) for i in range(steps)]})
 
 
-def _discrete_sequence(
-    names: tuple[str, ...], rows: list[tuple[str, ...]]
-) -> EventSequence:
-    schema = []
-    for j, name in enumerate(names):
-        domain = tuple(dict.fromkeys(row[j] for row in rows))
-        schema.append(AttributeSchema(name, "discrete", domain))
-    return EventSequence(schema=tuple(schema), records=tuple(rows))
+def _discrete_sequence(columns: dict[str, list[str]]) -> EventSequence:
+    """Discrete columns by name, each domain in first-appearance order."""
+    schema = tuple(
+        AttributeSchema(name, "discrete", tuple(dict.fromkeys(column)))
+        for name, column in columns.items()
+    )
+    return EventSequence(schema, tuple(map(tuple, columns.values())))

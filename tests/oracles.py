@@ -39,6 +39,29 @@ def best_tree_correct_count(rows: list[tuple], n_attrs: int) -> int:
     return best(tuple(range(len(rows))), frozenset(range(n_attrs)))
 
 
+def first_bad_record(schema, rows) -> str | None:
+    """The error naming the first cell of `rows` its attribute cannot hold.
+
+    Scans row by row, and within a row column by column: a numeric cell
+    must be an int or a float (bools included), a discrete cell equal to
+    a symbol of the domain, and None fits either kind. None when every
+    cell fits.
+    """
+    for i, record in enumerate(rows):
+        for attribute, value in zip(schema, record):
+            if value is None:
+                continue
+            if attribute.kind == "numeric":
+                if not isinstance(value, (int, float)):
+                    return (
+                        f"record {i + 1}: {attribute.name} expects a number, "
+                        f"got {value!r}"
+                    )
+            elif value not in attribute.domain:
+                return f"record {i + 1}: {value!r} is outside the domain of {attribute.name}"
+    return None
+
+
 # The three definitions read rules that share one decision time.
 
 

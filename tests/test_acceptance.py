@@ -30,6 +30,7 @@ from oracles import (
     definition_instantaneous,
     definition_p_causal,
 )
+from tables import from_rows
 
 I, A, P = RelationKind.INSTANTANEOUS, RelationKind.ACAUSAL, RelationKind.P_CAUSAL
 
@@ -186,8 +187,8 @@ def test_criterion_6_counting_properties():
         )
         data = EventSequence(
             schema=schema,
-            records=tuple(
-                tuple(rng.choice("01") for _ in range(m)) for _ in range(n)
+            columns=tuple(
+                tuple(rng.choice("01") for _ in range(n)) for _ in range(m)
             ),
         )
         w = rng.randint(2, min(n, 6))
@@ -211,7 +212,7 @@ def test_criterion_7_no_verdict_on_uniform_noise():
         records = tuple(
             tuple(rng.choice(classes) for _ in range(3)) for _ in range(240)
         )
-        data = EventSequence(schema=schema, records=records)
+        data = from_rows(schema, records)
         result = run_timers(
             RunSpec(d="c", alpha=2, beta=3, ac_th=0.9, test_count=40), data
         )
@@ -226,7 +227,7 @@ def _binary_training_set(rows):
         AttributeSchema(f"b{j}", "discrete", ("0", "1")) for j in range(m)
     ) + (AttributeSchema("k", "discrete", ("A", "B")),)
     records = tuple(tuple(map(str, row[:-1])) + (row[-1],) for row in rows)
-    data = EventSequence(schema=schema, records=records)
+    data = from_rows(schema, records)
     return temporalise(TemporalisationSpec(w=1, pos=1, d="k"), data)
 
 

@@ -103,6 +103,28 @@ class TestGenerate:
         assert code == 3
         assert "is not a JSON manifest" in err
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [1, 2],
+            {"config": {"period": 8, "steps": 40}, "csv": "p.csv"},
+            {"kind": "bogus", "config": {"period": 8, "steps": 40}, "csv": "p.csv"},
+            {
+                "kind": "robot",
+                "config": {"width": 8, "height": 8, "steps": 60, "seed": 3, "colour": "red"},
+                "csv": "walk.csv",
+            },
+        ],
+        ids=["list", "no-kind", "unknown-kind", "unknown-config-key"],
+    )
+    def test_misshapen_manifest_is_a_data_error(self, tmp_path, capsys, manifest):
+        path = tmp_path / "bad.manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, _, err = run(capsys, "generate", "from-manifest", str(path))
+        assert code == 3
+        assert f"{path} is not a manifest" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_bad_generator_flag_is_a_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "generate", "periodic", "--period", "1",

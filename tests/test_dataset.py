@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from timerules.dataset import (
     AttributeSchema,
@@ -11,7 +13,40 @@ from timerules.dataset import (
     split_chronological,
 )
 
+from oracles import first_bad_record
+from tables import from_rows
+
 FOUR_RECORDS = "1,2,4,true\n2,3,5,true\n6,7,8,false\n5,2,3,true\n"
+
+
+NUMBER_CELLS = (0, 1, -3, 2.5, True, False, None)
+SYMBOL_CELLS = ("a", "b", None)
+# cells their column cannot hold: a wrong type, an out-of-domain symbol, an unhashable value
+BAD_NUMBER_CELLS = ("1", "z", ["a"])
+BAD_SYMBOL_CELLS = ("z", 1, ["a"])
+
+
+@st.composite
+def planted_tables(draw):
+    """A schema of mixed kinds and rows over it, with up to three bad cells planted."""
+    kinds = draw(st.lists(st.sampled_from(("numeric", "discrete")), min_size=1, max_size=4))
+    schema = tuple(
+        AttributeSchema(f"c{j}", "numeric")
+        if kind == "numeric"
+        else AttributeSchema(f"c{j}", "discrete", ("a", "b"))
+        for j, kind in enumerate(kinds)
+    )
+    cells = [
+        st.sampled_from(NUMBER_CELLS if kind == "numeric" else SYMBOL_CELLS)
+        for kind in kinds
+    ]
+    rows = [list(row) for row in draw(st.lists(st.tuples(*cells), min_size=1, max_size=8))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(kinds) - 1))
+        bad = BAD_NUMBER_CELLS if kinds[j] == "numeric" else BAD_SYMBOL_CELLS
+        rows[i][j] = draw(st.sampled_from(bad))
+    return schema, [tuple(row) for row in rows]
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -39,7 +74,7 @@ class TestLoadCsv:
         data = load_csv(write(tmp_path, "x,y\n1,up\n2,down\n"))
         assert data.attribute_names == ("x", "y")
         assert data.n == 2
-        assert data.column("y") == ["up", "down"]
+        assert data.columns[1] == ("up", "down")
 
     def test_positional_names(self, tmp_path):
         data = load_csv(write(tmp_path, "1,2\n3,4\n"), header_mode="positional")
@@ -102,7 +137,7 @@ class TestLoadCsv:
         path.write_bytes("x,y\n1,a\n2,b\n".encode("utf-8-sig"))
         data = load_csv(path)
         assert data.attribute_names == ("x", "y")
-        assert data.column("x") == [1, 2]
+        assert data.columns[0] == (1, 2)
 
     def test_nan_symbol_in_discrete_column_is_a_symbol(self, tmp_path):
         data = load_csv(write(tmp_path, "v\nnan\nlow\n"))
@@ -151,7 +186,7 @@ class TestRoundTrip:
 class TestSplit:
     def make(self, n):
         schema = (AttributeSchema("v", "numeric"),)
-        return EventSequence(schema=schema, records=tuple((i,) for i in range(n)))
+        return EventSequence(schema=schema, columns=(tuple(range(n)),))
 
     def test_paper_scale_split(self):
         train, test = split_chronological(self.make(3000), 500)
@@ -191,16 +226,26 @@ class TestEventSequence:
     def test_duplicate_names_rejected(self):
         schema = (AttributeSchema("x", "numeric"), AttributeSchema("x", "numeric"))
         with pytest.raises(DataError, match="unique"):
-            EventSequence(schema=schema, records=((1, 2),))
+            EventSequence(schema=schema, columns=((1,), (2,)))
 
-    def test_record_width_checked(self):
-        schema = (AttributeSchema("x", "numeric"),)
-        with pytest.raises(DataError, match="record 1"):
-            EventSequence(schema=schema, records=((1, 2),))
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (((1, 2),), "expected 2 columns, one per attribute, got 1"),
+            (((1, 2, 3), ("a",)), "column 'y' has 1 values, expected 3"),
+            (((1,), ("a", "b")), "column 'y' has 2 values, expected 1"),
+        ],
+        ids=["column-count", "short-column", "long-column"],
+    )
+    def test_column_lengths_checked(self, columns, message):
+        schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))
+        with pytest.raises(DataError) as excinfo:
+            EventSequence(schema=schema, columns=columns)
+        assert str(excinfo.value) == message
 
     def test_unknown_attribute(self):
         schema = (AttributeSchema("x", "numeric"),)
-        data = EventSequence(schema=schema, records=((1,),))
+        data = EventSequence(schema=schema, columns=((1,),))
         with pytest.raises(DataError, match="unknown attribute"):
             data.column_index("y")
 
@@ -211,48 +256,67 @@ class TestEventSequence:
     def test_values_must_conform_to_kind(self):
         numeric = (AttributeSchema("x", "numeric"),)
         with pytest.raises(DataError, match="expects a number"):
-            EventSequence(schema=numeric, records=(("one",),))
+            EventSequence(schema=numeric, columns=(("one",),))
         discrete = (AttributeSchema("x", "discrete", ("a", "b")),)
         with pytest.raises(DataError, match="outside the domain"):
-            EventSequence(schema=discrete, records=(("c",),))
+            EventSequence(schema=discrete, columns=(("c",),))
         # missing values are allowed in either kind
-        EventSequence(schema=numeric, records=((None,),))
-        EventSequence(schema=discrete, records=((None,),))
-
+        EventSequence(schema=numeric, columns=((None,),))
+        EventSequence(schema=discrete, columns=((None,),))
 
     @pytest.mark.parametrize(
         "records, message",
         [
-            (((1, "a"), (2,), (3, "b", 4)), "record 2 has 1 values, expected 2"),
+            # an unhashable cell is a cell outside the domain
+            (((1, "a"), (2, ["a"])), "record 2: ['a'] is outside the domain of y"),
             (((1, "a"), ("2", "b"), ("x", "c")), "record 2: x expects a number, got '2'"),
             (((1, "a"), (2, "c"), (3, "d")), "record 2: 'c' is outside the domain of y"),
-            # a bad value before a bad width: the earlier record is named
-            (((1, "a"), (2, "z"), (3,)), "record 2: 'z' is outside the domain of y"),
-            (((1, "a"), (2,), (None, "z")), "record 2 has 1 values, expected 2"),
+            # the later column's bad cell sits in the earlier row: that row is named
+            (((1, "a"), (2, "z"), ("3", "b")), "record 2: 'z' is outside the domain of y"),
+            # two bad cells in one row: the first column is named
+            (((1, "a"), ("2", "c")), "record 2: x expects a number, got '2'"),
         ],
     )
     def test_first_bad_record_is_named(self, records, message):
         schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))
         with pytest.raises(DataError) as excinfo:
-            EventSequence(schema=schema, records=records)
+            from_rows(schema, records)
         assert str(excinfo.value) == message
+        assert first_bad_record(schema, records) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_tables())
+    @example(
+        (
+            (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b"))),
+            [(1, "a"), (2, "z"), ("3", "b")],
+        )
+    )
+    def test_constructor_names_the_oracles_first_bad_record(self, table):
+        schema, rows = table
+        expected = first_bad_record(schema, rows)
+        if expected is None:
+            from_rows(schema, rows)
+        else:
+            with pytest.raises(DataError) as excinfo:
+                from_rows(schema, rows)
+            assert str(excinfo.value) == expected
 
     def test_bools_count_as_numbers(self):
-        data = EventSequence(schema=(AttributeSchema("x", "numeric"),), records=((True,), (2,)))
-        assert data.columns == ((True, 2),)
+        data = EventSequence(schema=(AttributeSchema("x", "numeric"),), columns=((True, 2),))
+        assert data.records == ((True,), (2,))
 
     def test_columns_transpose_the_records(self):
         schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))
-        data = EventSequence(schema=schema, records=((1, "b"), (2.5, "a"), (None, "b")))
-        assert data.columns == ((1, 2.5, None), ("b", "a", "b"))
-        assert data.has_missing
-        empty = EventSequence(schema=schema, records=())
-        assert empty.columns == ((), ())
+        data = EventSequence(schema=schema, columns=((1, 2.5, None), ("b", "a", "b")))
+        assert data.records == ((1, "b"), (2.5, "a"), (None, "b"))
+        empty = EventSequence(schema=schema, columns=((), ()))
+        assert (empty.n, empty.records) == (0, ())
 
     def test_value_codes_are_domain_indices_and_value_ranks(self):
         schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))
         data = EventSequence(
-            schema=schema, records=((3, "b"), (1.0, "a"), (-2, "b"), (1, "b"))
+            schema=schema, columns=((3, 1.0, -2, 1), ("b", "a", "b", "b"))
         )
         assert list(data.value_codes("x")) == [2, 1, 0, 1]
         assert list(data.value_codes("y")) == [1, 0, 1, 1]
@@ -260,7 +324,7 @@ class TestEventSequence:
     def test_pair_codes_pair_each_decision_row_with_an_offset_row(self):
         schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))
         data = EventSequence(
-            schema=schema, records=((3, "b"), (1.0, "a"), (-2, "b"), (1, "b"))
+            schema=schema, columns=((3, 1.0, -2, 1), ("b", "a", "b", "b"))
         )
         # x codes 2, 1, 0, 1 and y codes 1, 0, 1, 1, with two classes
         assert data.pair_codes("y", "x", 0, 0, 4) == [5, 2, 1, 3]
@@ -272,7 +336,7 @@ class TestEventSequence:
 class TestAsDiscrete:
     def test_numeric_becomes_labels(self):
         schema = (AttributeSchema("x", "numeric"),)
-        data = EventSequence(schema=schema, records=((2,), (1,), (2,)))
+        data = EventSequence(schema=schema, columns=((2, 1, 2),))
         out = as_discrete(data, "x")
         assert out.schema[0].kind == "discrete"
         assert out.schema[0].domain == ("2", "1")
@@ -287,5 +351,5 @@ class TestAsDiscrete:
 
     def test_discrete_passthrough(self):
         schema = (AttributeSchema("x", "discrete", ("a",)),)
-        data = EventSequence(schema=schema, records=(("a",),))
+        data = EventSequence(schema=schema, columns=(("a",),))
         assert as_discrete(data, "x") is data

@@ -17,6 +17,7 @@ from timerules.temporalise import TemporalisationSpec, column_name, temporalise
 from timerules.worlds import RobotWorldConfig, generate_robot_walk
 
 from oracles import ReferenceTree, best_tree_correct_count, condition_holds, first_match
+from tables import from_rows
 
 
 def empty_like(data):
@@ -40,7 +41,7 @@ def flat_table(rows, kinds=None, names=None):
         tuple(str(v) if kinds[j] == "discrete" else v for j, v in enumerate(row))
         for row in rows
     )
-    data = EventSequence(schema=tuple(schema), records=records)
+    data = from_rows(schema, records)
     return temporalise(TemporalisationSpec(w=1, pos=1, d=names[-1]), data)
 
 
@@ -90,8 +91,8 @@ def random_tables(draw):
     w = draw(st.integers(1, 3))
     pos = draw(st.integers(1, w))
     spec = TemporalisationSpec(w=w, pos=pos, d="k")
-    train = EventSequence(schema=tuple(schema), records=tuple(train_rows))
-    test = EventSequence(schema=tuple(test_schema), records=tuple(test_rows))
+    train = from_rows(schema, train_rows)
+    test = from_rows(test_schema, test_rows)
     return temporalise(spec, train), temporalise(spec, test)
 
 
@@ -120,7 +121,7 @@ class TestInduce:
 
     def test_numeric_decision_rejected(self):
         schema = (AttributeSchema("a", "discrete", ("u",)), AttributeSchema("k", "numeric"))
-        data = EventSequence(schema=schema, records=(("u", 1), ("u", 2)))
+        data = from_rows(schema, (("u", 1), ("u", 2)))
         train = temporalise(TemporalisationSpec(w=1, pos=1, d="k"), data)
         with pytest.raises(DataError, match="discrete decision"):
             induce(train)
@@ -282,8 +283,8 @@ class TestEvaluate:
 
     def test_robot_forward_holds_out_of_sample(self):
         walk = generate_robot_walk(RobotWorldConfig(steps=700, seed=3))
-        head = EventSequence(schema=walk.schema, records=walk.records[:600])
-        tail = EventSequence(schema=walk.schema, records=walk.records[600:])
+        head = EventSequence(walk.schema, tuple(c[:600] for c in walk.columns))
+        tail = EventSequence(walk.schema, tuple(c[600:] for c in walk.columns))
         spec = TemporalisationSpec(w=2, pos=2, d="x")
         rule_set = induce(temporalise(spec, head))
         assert evaluate(rule_set, temporalise(spec, tail)) == 1.0
@@ -441,7 +442,7 @@ class TestReferenceAgreement:
                 )
                 for _ in range(200)
             )
-            data = EventSequence(schema=schema, records=records)
+            data = from_rows(schema, records)
             for w, pos in ((1, 1), (2, 1), (2, 2), (3, 2)):
                 train = temporalise(TemporalisationSpec(w=w, pos=pos, d="k"), data)
                 reference = ReferenceTree(train)
@@ -471,7 +472,7 @@ class TestReferenceAgreement:
         rows[0] = (100, -7, "p", "A")
         rows[54] = (-50, 99.5, "r", "C")
         rows[60] = (42, 0.5, "q", "B")
-        data = EventSequence(schema=schema, records=tuple(rows))
+        data = from_rows(schema, rows)
         train, test = split_chronological(data, 15)
         for w in range(1, 5):
             for pos in range(1, w + 1):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timerules.dataset import AttributeSchema, DataError, EventSequence, load_csv
+from timerules.dataset import AttributeSchema, DataError, load_csv
 from timerules.temporalise import (
     TemporalisationSpec,
     column_name,
     temporalise,
     temporalised_record_count,
 )
+
+from tables import from_rows
 
 TABLE_ROWS = "1,2,4,true\n2,3,5,true\n6,7,8,false\n5,2,3,true\n"
 
@@ -37,7 +39,7 @@ def random_sequence(rng, n, m):
         )
         for _ in range(n)
     )
-    return EventSequence(schema=tuple(schema), records=records)
+    return from_rows(schema, records)
 
 
 class TestSpec:
@@ -112,6 +114,10 @@ class TestWindowMerging:
         data = load_csv(path)
         with pytest.raises(DataError, match="record 2"):
             temporalise(TemporalisationSpec(w=2, pos=2, d="y"), data)
+        # the earliest record is named, even when a later column holds its gap
+        path.write_text("x,y\n1,a\n2,?\n?,b\n3,a\n", encoding="utf-8")
+        with pytest.raises(DataError, match="record 2 contains"):
+            temporalise(TemporalisationSpec(w=2, pos=2, d="y"), load_csv(path))
 
 
 class TestRecordCount:

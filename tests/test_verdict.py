@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import timerules.verdict
-from timerules.dataset import AttributeSchema, DataError, EventSequence
+from timerules.dataset import AttributeSchema, DataError
 from timerules.semantics import RelationKind
 from timerules.verdict import (
     AccuracyInterval,
@@ -18,6 +18,8 @@ from timerules.verdict import (
     select_relation,
 )
 from timerules.worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
+
+from tables import from_rows
 
 I, A, P = RelationKind.INSTANTANEOUS, RelationKind.ACAUSAL, RelationKind.P_CAUSAL
 
@@ -244,7 +246,7 @@ def noise_sequence(seed, n=160, classes=("p", "q")):
     records = tuple(
         (rng.choice(("0", "1")), rng.choice(classes)) for _ in range(n)
     )
-    return EventSequence(schema=schema, records=records)
+    return from_rows(schema, records)
 
 
 @st.composite
@@ -274,7 +276,7 @@ def small_sequences(draw):
         beta=draw(st.integers(alpha, 3)),
         test_count=draw(st.integers(0, 6)),
     )
-    return EventSequence(schema=schema, records=tuple(records)), spec
+    return from_rows(schema, records), spec
 
 
 class TestRunTimers:
@@ -359,7 +361,7 @@ class TestRunTimers:
             AttributeSchema("tag", "discrete", ("s", "t")),
         )
         records = tuple((i % 3, ("s", "t")[i % 2]) for i in range(60))
-        data = EventSequence(schema=schema, records=records)
+        data = from_rows(schema, records)
         report = run_timers(RunSpec(d="v", alpha=2, beta=2, test_count=12), data)
         assert report.best[P].accuracy("predictive") == 1.0
 
@@ -382,7 +384,7 @@ class TestRunTimers:
             AttributeSchema("c", "discrete", ("p", "q")),
         )
         records = tuple((str(i % 2), "p") for i in range(40))
-        data = EventSequence(schema=schema, records=records)
+        data = from_rows(schema, records)
         report = run_timers(RunSpec(d="c", alpha=2, beta=3, test_count=10), data)
         assert all(o.eval.rule_size == 1 for o in report.outcomes)
         assert [o.actual_kind for o in report.outcomes] == [
