@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .dataset import DataError, load_csv
+from .dataset import DataError, EventSequence, load_csv
 from .temporalise import TemporalisationSpec, temporalise
 from .verdict import RunSpec, run_timers
 from .worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
@@ -161,12 +161,13 @@ def _manifest_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".manifest.json")
 
 
-def _write_generated(kind: str, config: dict, out: Path) -> None:
-    with _checking_arguments():
-        if kind == "robot":
-            data = generate_robot_walk(RobotWorldConfig(**config))
-        else:
-            data = generate_periodic(**config)
+def _generate(kind: str, config: dict) -> EventSequence:
+    if kind == "robot":
+        return generate_robot_walk(RobotWorldConfig(**config))
+    return generate_periodic(**config)
+
+
+def _write_generated(kind: str, config: dict, data: EventSequence, out: Path) -> None:
     data.to_csv(out)
     manifest = {"kind": kind, "config": config, "csv": out.name, "rows": data.n}
     with open(_manifest_path(out), "w", encoding="utf-8") as handle:
@@ -198,11 +199,20 @@ def _read_manifest(path: str) -> dict:
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "from-manifest":
         manifest = _read_manifest(args.manifest)
+        kind, config = manifest["kind"], manifest["config"]
         out = Path(args.out) if args.out else Path(args.manifest).parent / manifest["csv"]
-        _write_generated(manifest["kind"], manifest["config"], out)
+        try:
+            data = _generate(kind, config)
+        except ValueError as exc:
+            # the manifest is a data file: a config the generator rejects is bad data
+            raise DataError(f"{args.manifest} holds an invalid {kind} config: {exc}") from exc
     else:
-        config = {key: getattr(args, key) for key in _GENERATOR_KEYS[args.kind]}
-        _write_generated(args.kind, config, Path(args.out))
+        kind = args.kind
+        config = {key: getattr(args, key) for key in _GENERATOR_KEYS[kind]}
+        out = Path(args.out)
+        with _checking_arguments():
+            data = _generate(kind, config)
+    _write_generated(kind, config, data, out)
     return 0
 
 

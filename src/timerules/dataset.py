@@ -68,8 +68,9 @@ class EventSequence:
 
     `columns[j]` holds attribute j's values in record order; record order
     is temporal order and is never rearranged. Instances are immutable
-    and safe to share between concurrent readers; the row view and the
-    codes derived from the columns are computed once, on first use.
+    and safe to share between concurrent readers; the row view, the
+    first missing row and the codes derived from the columns are
+    computed once, on first use.
     """
 
     schema: tuple[AttributeSchema, ...]
@@ -104,6 +105,12 @@ class EventSequence:
             raise DataError(
                 f"record {i + 1}: {value!r} is outside the domain of {name}"
             )
+
+    @cached_property
+    def first_missing_row(self) -> int | None:
+        """Index of the first record holding a missing value, or None."""
+        rows = [column.index(None) for column in self.columns if None in column]
+        return min(rows, default=None)
 
     @cached_property
     def records(self) -> tuple[tuple[object, ...], ...]:

@@ -3,14 +3,17 @@
 A rule set is judged by where its condition times sit relative to the
 decision time t0 its rules share: all at t0 (instantaneous), all
 strictly before (p-causal), none at t0 with at least one after
-(acausal), anything else mixed. Conceptual simplicity orders the first
-three: instantaneous < acausal < p-causal.
+(acausal), anything else mixed. `classify_times` is the one judge; it
+reads only the set of tested times, so the sweep calls it with the times
+an induced tree tests and `classify_rule_set` with those of a rule list.
+Conceptual simplicity orders the first three: instantaneous < acausal <
+p-causal.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .dataset import DataError
 from .induction import Rule
@@ -54,6 +57,24 @@ def declared_kind(w: int, pos: int) -> RelationKind:
     return RelationKind.ACAUSAL
 
 
+def classify_times(times: Iterable[int], t0: int) -> RelationKind:
+    """Judge condition times relative to the decision time t0.
+
+    Without any condition time there is no temporal evidence, and the
+    set cannot be judged.
+    """
+    times = set(times)
+    if not times:
+        raise DataError("unclassifiable: no conditions")
+    if all(t == t0 for t in times):
+        return RelationKind.INSTANTANEOUS
+    if all(t < t0 for t in times):
+        return RelationKind.P_CAUSAL
+    if all(t != t0 for t in times) and any(t > t0 for t in times):
+        return RelationKind.ACAUSAL
+    return RelationKind.MIXED
+
+
 def classify_rule_set(rules: Sequence[Rule]) -> RelationKind:
     """Judge rules by their condition times relative to their decision time.
 
@@ -63,15 +84,5 @@ def classify_rule_set(rules: Sequence[Rule]) -> RelationKind:
     """
     if len({(rule.decision_attribute, rule.decision_time) for rule in rules}) > 1:
         raise DataError("all rules in a set must share the decision column")
-    conditioned = [rule for rule in rules if rule.conditions]
-    if not conditioned:
-        raise DataError("unclassifiable: no conditions")
-    t0 = conditioned[0].decision_time
-    times = [c.time for rule in conditioned for c in rule.conditions]
-    if all(t == t0 for t in times):
-        return RelationKind.INSTANTANEOUS
-    if all(t < t0 for t in times):
-        return RelationKind.P_CAUSAL
-    if all(t != t0 for t in times) and any(t > t0 for t in times):
-        return RelationKind.ACAUSAL
-    return RelationKind.MIXED
+    times = [c.time for rule in rules for c in rule.conditions]
+    return classify_times(times, rules[0].decision_time if times else None)

@@ -122,10 +122,10 @@ def temporalised_record_count(n: int, w: int) -> int:
 
 
 def _reject_missing(data: EventSequence) -> None:
-    rows = [column.index(None) for column in data.columns if None in column]
-    if rows:
+    row = data.first_missing_row
+    if row is not None:
         raise DataError(
-            f"record {min(rows) + 1} contains a missing value; "
+            f"record {row + 1} contains a missing value; "
             "records with '?' cells cannot be temporalised"
         )
 

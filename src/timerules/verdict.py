@@ -26,7 +26,8 @@ from .dataset import DataError, EventSequence, as_discrete, split_chronological
 from .induction import EvalResult, evaluate, induce
 from .semantics import (
     RelationKind,
-    classify_rule_set,
+    classify_rule_set,  # noqa: F401  unused; benchmarks/spans.py wraps it in this module
+    classify_times,
     declared_kind,
     is_simpler,
     simplicity_rank,
@@ -359,8 +360,8 @@ def _run_single(
         predictive_accuracy = evaluate(rule_set, test_set)
         test_size = test_set.n
     declared = declared_kind(w, pos)
-    if any(rule.conditions for rule in rule_set.rules):
-        actual = classify_rule_set(rule_set.rules)
+    if rule_set.tested:
+        actual = classify_times((t for _, t in rule_set.tested), rule_set.decision_time)
     else:
         # a bare majority rule carries no temporal evidence either way
         actual = declared

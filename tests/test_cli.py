@@ -125,6 +125,17 @@ class TestGenerate:
         assert f"{path} is not a manifest" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_manifest_config_the_generator_rejects_is_a_data_error(self, tmp_path, capsys):
+        # well-formed, but no flag was given: the bad value is the file's
+        path = tmp_path / "short.manifest.json"
+        manifest = {"kind": "periodic", "config": {"period": 8, "steps": 0}, "csv": "z.csv"}
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, _, err = run(capsys, "generate", "from-manifest", str(path))
+        assert code == 3
+        assert f"{path} holds an invalid periodic config" in err
+        assert "invalid arguments" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_bad_generator_flag_is_a_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "generate", "periodic", "--period", "1",

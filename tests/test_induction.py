@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -11,8 +12,16 @@ from timerules.dataset import (
     EventSequence,
     split_chronological,
 )
-from timerules.induction import Condition, Rule, classify, evaluate, induce
-from timerules.semantics import classify_rule_set
+from timerules.induction import (
+    _SMALL_NODE,
+    Condition,
+    Rule,
+    _count,
+    classify,
+    evaluate,
+    induce,
+)
+from timerules.semantics import classify_rule_set, classify_times
 from timerules.temporalise import TemporalisationSpec, column_name, temporalise
 from timerules.worlds import RobotWorldConfig, generate_robot_walk
 
@@ -43,6 +52,18 @@ def flat_table(rows, kinds=None, names=None):
     )
     data = from_rows(schema, records)
     return temporalise(TemporalisationSpec(w=1, pos=1, d=names[-1]), data)
+
+
+def rule_line_columns(lines):
+    """The (attribute, time) columns that rendered rule lines test."""
+    columns = set()
+    for line in lines:
+        body = line.removeprefix("IF ").split(" THEN ")[0]
+        if body != "TRUE":
+            for condition in body.split(" AND "):
+                attribute, time = re.match(r"(.+?)@t(\d+)(?:<=|>|=)", condition).groups()
+                columns.add((attribute, int(time)))
+    return columns
 
 
 NUMERIC_POOL = (-2, 0, 1, 1.0, 1.5, 2, 2.0, 3, 7.25, 10)
@@ -94,6 +115,20 @@ def random_tables(draw):
     train = from_rows(schema, train_rows)
     test = from_rows(test_schema, test_rows)
     return temporalise(spec, train), temporalise(spec, test)
+
+
+class TestCounting:
+    def test_counts_in_first_appearance_order_on_both_sides_of_the_cutoff(self):
+        # every entropy sum follows the count's key order, so both the
+        # small-node loop and the Counter path must keep first appearance
+        rng = random.Random(11)
+        codes = [rng.randrange(12) for _ in range(500)]
+        for size in (1, 2, _SMALL_NODE - 1, _SMALL_NODE, _SMALL_NODE + 1, 400):
+            for _ in range(20):
+                indices = rng.sample(range(len(codes)), size)
+                keys = list(dict.fromkeys(codes[i] for i in indices))
+                expected = [(k, sum(codes[i] == k for i in indices)) for k in keys]
+                assert list(_count(codes, indices).items()) == expected
 
 
 class TestInduce:
@@ -391,6 +426,22 @@ class TestRuleSetInvariants:
             rule_set = induce(flat_table(rows, names=names))
             assert rule_set.size == len(rule_set.rules) >= 1
 
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(tables=random_tables())
+    def test_shape_agrees_with_the_rules(self, tables):
+        rule_set = induce(tables[0])
+        rules = rule_set.rules
+        tested = {(c.attribute, c.time) for rule in rules for c in rule.conditions}
+        assert rule_set.size == len(rules)
+        assert rule_set.tested == tested
+        if tested:
+            times = [t for _, t in rule_set.tested]
+            assert classify_times(times, rule_set.decision_time) == classify_rule_set(rules)
+
     def test_shared_decision_enforced(self):
         rule_set = induce(
             flat_table([("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0")])
@@ -480,7 +531,10 @@ class TestReferenceAgreement:
                 train_set, test_set = temporalise(spec, train), temporalise(spec, test)
                 rule_set = induce(train_set)
                 reference = ReferenceTree(train_set)
-                assert rule_set.render() == "\n".join(reference.rule_lines())
+                lines = reference.rule_lines()
+                assert rule_set.render() == "\n".join(lines)
+                assert rule_set.size == len(lines)
+                assert rule_set.tested == rule_line_columns(lines)
                 assert rule_set.default_class == reference.default
                 assert evaluate(rule_set, train_set) == reference.accuracy(train_set)
                 assert evaluate(rule_set, test_set) == reference.accuracy(test_set)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import timerules.induction
 import timerules.verdict
 from timerules.dataset import AttributeSchema, DataError
 from timerules.semantics import RelationKind
@@ -376,6 +377,17 @@ class TestRunTimers:
         monkeypatch.setattr(timerules.verdict, "induce", counting_induce)
         run_timers(RunSpec(d="x", alpha=1, beta=2, test_count=20), generate_periodic(4, 100))
         assert trained == [(1, 1), (2, 1), (2, 2)]
+
+    def test_sweep_never_extracts_rules(self, monkeypatch):
+        # sizes and kinds are read off each tree; rules are for rendering
+        def refuse(*args):
+            raise AssertionError("a sweep extracted rules")
+
+        monkeypatch.setattr(timerules.induction, "_extract_rules", refuse)
+        walk = generate_robot_walk(RobotWorldConfig(steps=300, seed=4))
+        report = run_timers(RunSpec(d="x", beta=3, test_count=60), walk)
+        assert report.final == "p-causal"
+        assert all(o.eval.rule_size > 1 for o in report.outcomes)
 
     def test_conditionless_rules_report_their_declared_kind(self):
         # a constant decision grows a single bare leaf in every window
