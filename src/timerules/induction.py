@@ -15,7 +15,13 @@ values (the presorting idea of C4.5 and SPRINT). The source sequence
 codes each (decision, attribute, time offset) once, so every (w, pos) of
 a sweep slices the same codes. A node counts its rows' pair codes per
 column in one pass and scores every candidate split from those counts
-alone; only the winning split builds its children's row lists.
+alone, and the winning split hands back each child's class counts (as
+C4.5 knows a child's class distribution once the split is scored). A
+child whose counts hold one class becomes a leaf at once, with no row
+list and no recount; only impure children get their rows grouped, and
+an impure child of a discrete split inherits its counts, which are in
+its own first-appearance order. The root, the only node holding every
+row, counts whole columns.
 
 A node scans only its live columns: those with at least two distinct
 values on its rows. A column that is constant on a node is constant on
@@ -205,8 +211,12 @@ def _count(codes: Sequence[int], indices: list[int]) -> dict[int, int]:
     """How often each code occurs among `codes[i]` for i in `indices`.
 
     Keys are in first-appearance order, whichever way the node is counted.
+    Only the root holds every row, and its `indices` are in row order, so
+    it counts the whole column.
     """
     if len(indices) > _SMALL_NODE:
+        if len(indices) == len(codes):
+            return Counter(codes)
         return Counter(map(codes.__getitem__, indices))
     counts: dict[int, int] = {}
     for i in indices:
@@ -248,11 +258,24 @@ class _TreeBuilder:
         best = max(counts.values())
         return self.classes[min(k for k, c in counts.items() if c == best)]
 
-    def build(self, indices: list[int], columns: list[_Column]):
-        """The subtree over rows `indices`, scanning only `columns`."""
-        counts = self.class_counts(indices)
-        if len(counts) == 1:
-            return _Leaf(self.classes[next(iter(counts))])
+    def build(
+        self,
+        indices: list[int],
+        columns: list[_Column],
+        counts: dict[int, int] | None = None,
+    ):
+        """The subtree over rows `indices`, scanning only `columns`.
+
+        `counts` are the rows' class counts in first-appearance order, if
+        the caller already has them. A child whose class counts from the
+        winning split hold one class becomes a leaf without a row list;
+        only impure children get their rows grouped and are built.
+        """
+        if counts is None:
+            counts = self.class_counts(indices)
+        leaf = self._pure_leaf(counts)
+        if leaf is not None:
+            return leaf
 
         best, live = self._best_split(
             indices, counts, _entropy(counts.values(), len(indices)), columns
@@ -260,42 +283,77 @@ class _TreeBuilder:
         if best is None:
             return _Leaf(self.majority(counts))
 
-        column, cut = best
+        column, cut, children = best
         values = column.values
         if column.numeric:
-            ordered = sorted(indices, key=values.__getitem__)
-            low, high = ordered[:cut], ordered[cut:]
+            (low_rank, low_counts), (high_rank, high_counts) = children
+            if len(low_counts) == 1 and len(high_counts) == 1:
+                # Both sides pure: each row of a side's boundary value has
+                # that side's one pair code, so the rows a stable sort puts
+                # either side of the cut are the last with the low code and
+                # the first with the high code. No row list is needed.
+                width = len(self.classes)
+                codes = list(map(column.pairs.__getitem__, indices))
+                low_code = low_rank * width + next(iter(low_counts))
+                last = indices[len(codes) - 1 - codes[::-1].index(low_code)]
+                first = indices[codes.index(high_rank * width + next(iter(high_counts)))]
+                low = high = None
+            else:
+                ordered = sorted(indices, key=values.__getitem__)
+                low, high = ordered[:cut], ordered[cut:]
+                last, first = low[-1], high[0]
+            # a side's counts are in ascending-value order, not its rows'
+            # first-appearance order, so an impure side counts them again
             return _NumericSplit(
                 column.attribute,
                 column.time,
-                (values[low[-1]] + values[high[0]]) / 2,
-                self.build(low, live),
-                self.build(high, live),
+                (values[last] + values[first]) / 2,
+                self._pure_leaf(low_counts) or self.build(low, live),
+                self._pure_leaf(high_counts) or self.build(high, live),
             )
         # each child holds one value of the split column
         live = [c for c in live if c is not column]
-        groups: dict = {}
-        for i in indices:
-            groups.setdefault(values[i], []).append(i)
+        domain = column.domain
+        rows = {domain[code]: [] for code, group in children.items() if len(group) > 1}
+        if rows:
+            pure: list[int] = []
+            for i in indices:
+                rows.get(values[i], pure).append(i)
         majority = self.majority(counts)
-        branches = {
-            symbol: self.build(groups[symbol], live)
-            if symbol in groups
-            else _Leaf(majority)
-            for symbol in column.domain
-        }
+        branches = {}
+        for code, symbol in enumerate(domain):
+            group = children.get(code)
+            branches[symbol] = (
+                _Leaf(majority)
+                if group is None
+                else self._pure_leaf(group) or self.build(rows[symbol], live, group)
+            )
         return _DiscreteSplit(column.attribute, column.time, branches)
 
+    def _pure_leaf(self, counts: dict[int, int]) -> _Leaf | None:
+        """The leaf of the one class `counts` hold, or None if they hold more."""
+        if len(counts) == 1:
+            return _Leaf(self.classes[next(iter(counts))])
+        return None
+
     def _best_split(self, indices, counts, parent_entropy, columns):
-        """The winning (column, cut) at this node, or None, and the live columns.
+        """The winning (column, cut, children) at this node, or None, and the live columns.
 
         The live columns are those of `columns` with at least two
         distinct values on `indices`, in scan order. Floating-point terms
         are summed in the order a row-by-row scan would produce: classes
         and discrete values in first-appearance order within the node,
         numeric cuts in ascending value order, the high side of a cut in
-        the node's class order. `cut` is the number of rows on the low
-        side of a numeric split.
+        the node's class order.
+
+        `children` holds each child's class counts. For a discrete split
+        it maps each observed value code to its child's counts, whose
+        keys are in that child's first-appearance order. For a numeric
+        split it is `((low_rank, low_counts), (high_rank, high_counts))`:
+        the largest value code below the cut and the smallest above it,
+        with each side's counts, which are not in its rows' order. `cut`
+        is the number of rows on the low side of a numeric split and None
+        for a discrete one.
         """
         total = len(indices)
         width = len(self.classes)
@@ -326,11 +384,12 @@ class _TreeBuilder:
                 key = (1 if gain > _GAIN_EPS else 0, gain / split_info)
                 if key > best_key:
                     best_key = key
-                    best = (column, None)
+                    best = (column, None, by_value)
                 continue
             low: dict = {}
             cut = 0
-            for value in sorted(by_value)[:-1]:
+            ranks = sorted(by_value)
+            for value, above in zip(ranks, ranks[1:]):
                 for klass, c in by_value[value].items():
                     low[klass] = low.get(klass, 0) + c
                     cut += c
@@ -345,7 +404,8 @@ class _TreeBuilder:
                 key = (1 if gain > _GAIN_EPS else 0, gain / split_info)
                 if key > best_key:
                     best_key = key
-                    best = (column, cut)
+                    high_counts = {k: c for k, c in zip(counts, high) if c > 0}
+                    best = (column, cut, ((value, dict(low)), (above, high_counts)))
         return best, live
 
 
@@ -409,10 +469,11 @@ def induce(train: TemporalisedDataset) -> RuleSet:
 
     builder = _TreeBuilder(train)
     indices = list(range(train.n))
+    counts = builder.class_counts(indices)
     d, pos = train.decision_column
     return RuleSet(
-        tree=builder.build(indices, builder.columns),
-        default_class=builder.majority(builder.class_counts(indices)),
+        tree=builder.build(indices, builder.columns, counts),
+        default_class=builder.majority(counts),
         decision_attribute=d,
         decision_time=pos,
     )

@@ -1,6 +1,7 @@
 import random
 import re
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -17,13 +18,14 @@ from timerules.induction import (
     Condition,
     Rule,
     _count,
+    _TreeBuilder,
     classify,
     evaluate,
     induce,
 )
 from timerules.semantics import classify_rule_set, classify_times
 from timerules.temporalise import TemporalisationSpec, column_name, temporalise
-from timerules.worlds import RobotWorldConfig, generate_robot_walk
+from timerules.worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
 
 from oracles import ReferenceTree, best_tree_correct_count, condition_holds, first_match
 from tables import from_rows
@@ -129,6 +131,79 @@ class TestCounting:
                 keys = list(dict.fromkeys(codes[i] for i in indices))
                 expected = [(k, sum(codes[i] == k for i in indices)) for k in keys]
                 assert list(_count(codes, indices).items()) == expected
+
+    def test_whole_column_counts_in_first_appearance_order(self):
+        # only the root holds every row; it counts the column itself
+        rng = random.Random(12)
+        for size in (1, 2, _SMALL_NODE - 1, _SMALL_NODE, _SMALL_NODE + 1, 400):
+            codes = [rng.randrange(12) for _ in range(size)]
+            expected = [(k, codes.count(k)) for k in dict.fromkeys(codes)]
+            assert list(_count(codes, list(range(size))).items()) == expected
+
+
+def spy_build():
+    """Patch `_TreeBuilder.build` with a mock that records every call."""
+    return mock.patch.object(
+        _TreeBuilder, "build", autospec=True, side_effect=_TreeBuilder.build
+    )
+
+
+class TestPureChildren:
+    def test_pure_discrete_children_are_leaves_without_rows(self):
+        # in a period-8 cycle either neighbour decides the value, so the
+        # root's one split has eight pure children
+        data = generate_periodic(8, 64)
+        for w, pos in ((2, 1), (2, 2)):
+            train = temporalise(TemporalisationSpec(w=w, pos=pos, d="x"), data)
+            with spy_build() as build:
+                rule_set = induce(train)
+            assert build.call_count == 1
+            assert rule_set.size == 8
+            assert rule_set.render() == "\n".join(ReferenceTree(train).rule_lines())
+
+    def test_pure_numeric_sides_take_the_sorted_boundary_rows(self):
+        # 2**53 + 2 and its float spelling are one value with one code,
+        # yet each gives another midpoint with its neighbour: the threshold
+        # must come from the rows a stable sort puts either side of the
+        # cut, which reversing the rows swaps
+        big = 2**53 + 2
+        sides = (([2**53 + 1], [big, float(big)]), ([big, float(big)], [2**53 + 3]))
+        for low, high in sides:
+            rows = [(v, "A") for v in low] + [(v, "B") for v in high]
+            rendered = set()
+            for ordered in (rows, rows[::-1]):
+                train = flat_table(ordered, kinds=["numeric", "discrete"])
+                with spy_build() as build:
+                    rule_set = induce(train)
+                assert build.call_count == 1
+                assert rule_set.size == 2
+                assert rule_set.render() == "\n".join(ReferenceTree(train).rule_lines())
+                rendered.add(rule_set.render())
+            assert len(rendered) == 2
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(tables=random_tables())
+    def test_handed_down_counts_equal_a_recount(self, tables):
+        # entropy sums follow the counts' key order, so a child's inherited
+        # counts must be what counting its rows gives, in the same order
+        train, _ = tables
+        original = _TreeBuilder.build
+        handed_down = []
+
+        def build(self, indices, columns, counts=None):
+            if counts is not None:
+                recount = _count(self.class_codes, indices)
+                assert list(counts.items()) == list(recount.items())
+                handed_down.append(counts)
+            return original(self, indices, columns, counts)
+
+        with mock.patch.object(_TreeBuilder, "build", build):
+            induce(train)
+        assert handed_down
 
 
 class TestInduce:
