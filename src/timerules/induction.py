@@ -18,10 +18,10 @@ column in one pass and scores every candidate split from those counts
 alone, and the winning split hands back each child's class counts (as
 C4.5 knows a child's class distribution once the split is scored). A
 child whose counts hold one class becomes a leaf at once, with no row
-list and no recount; only impure children get their rows grouped, and
-an impure child of a discrete split inherits its counts, which are in
-its own first-appearance order. The root, the only node holding every
-row, counts whole columns.
+list and no recount. A discrete split groups only its impure children's
+rows, and each inherits its counts, which are in its own
+first-appearance order. The root, the only node holding every row,
+counts whole columns.
 
 A node scans only its live columns: those with at least two distinct
 values on its rows. A column that is constant on a node is constant on
@@ -207,16 +207,15 @@ class _Column:
     pairs: list[int]
 
 
-def _count(codes: Sequence[int], indices: list[int]) -> dict[int, int]:
+def _count(codes: Sequence[int], indices: list[int] | None) -> dict[int, int]:
     """How often each code occurs among `codes[i]` for i in `indices`.
 
-    Keys are in first-appearance order, whichever way the node is counted.
-    Only the root holds every row, and its `indices` are in row order, so
-    it counts the whole column.
+    `indices` None counts all of `codes`. Keys are in first-appearance
+    order, whichever way the node is counted.
     """
+    if indices is None:
+        return Counter(codes)
     if len(indices) > _SMALL_NODE:
-        if len(indices) == len(codes):
-            return Counter(codes)
         return Counter(map(codes.__getitem__, indices))
     counts: dict[int, int] = {}
     for i in indices:
@@ -240,6 +239,8 @@ class _TreeBuilder:
         self.classes = train.decision_schema.domain or ()
         start, stop = pos - 1, pos - 1 + train.n
         self.class_codes = source.value_codes(d)[start:stop].tolist()
+        # every row in order: the root's rows, which count whole columns
+        self.rows = list(range(train.n))
         columns = []
         for (attr, time), values in zip(train.condition_columns, train.columns):
             schema = source.attribute(attr)
@@ -266,17 +267,14 @@ class _TreeBuilder:
     ):
         """The subtree over rows `indices`, scanning only `columns`.
 
-        `counts` are the rows' class counts in first-appearance order, if
-        the caller already has them. A child whose class counts from the
-        winning split hold one class becomes a leaf without a row list;
-        only impure children get their rows grouped and are built.
+        The rows hold at least two classes. `counts` are their class
+        counts in first-appearance order, if the caller already has them.
+        A child whose class counts from the winning split hold one class
+        becomes a leaf and is not built. A discrete split groups only its
+        impure children's rows, which inherit their counts.
         """
         if counts is None:
             counts = self.class_counts(indices)
-        leaf = self._pure_leaf(counts)
-        if leaf is not None:
-            return leaf
-
         best, live = self._best_split(
             indices, counts, _entropy(counts.values(), len(indices)), columns
         )
@@ -286,28 +284,15 @@ class _TreeBuilder:
         column, cut, children = best
         values = column.values
         if column.numeric:
-            (low_rank, low_counts), (high_rank, high_counts) = children
-            if len(low_counts) == 1 and len(high_counts) == 1:
-                # Both sides pure: each row of a side's boundary value has
-                # that side's one pair code, so the rows a stable sort puts
-                # either side of the cut are the last with the low code and
-                # the first with the high code. No row list is needed.
-                width = len(self.classes)
-                codes = list(map(column.pairs.__getitem__, indices))
-                low_code = low_rank * width + next(iter(low_counts))
-                last = indices[len(codes) - 1 - codes[::-1].index(low_code)]
-                first = indices[codes.index(high_rank * width + next(iter(high_counts)))]
-                low = high = None
-            else:
-                ordered = sorted(indices, key=values.__getitem__)
-                low, high = ordered[:cut], ordered[cut:]
-                last, first = low[-1], high[0]
+            ordered = sorted(indices, key=values.__getitem__)
+            low, high = ordered[:cut], ordered[cut:]
+            low_counts, high_counts = children
             # a side's counts are in ascending-value order, not its rows'
             # first-appearance order, so an impure side counts them again
             return _NumericSplit(
                 column.attribute,
                 column.time,
-                (values[last] + values[first]) / 2,
+                (values[low[-1]] + values[high[0]]) / 2,
                 self._pure_leaf(low_counts) or self.build(low, live),
                 self._pure_leaf(high_counts) or self.build(high, live),
             )
@@ -316,9 +301,10 @@ class _TreeBuilder:
         domain = column.domain
         rows = {domain[code]: [] for code, group in children.items() if len(group) > 1}
         if rows:
-            pure: list[int] = []
             for i in indices:
-                rows.get(values[i], pure).append(i)
+                group = rows.get(values[i])
+                if group is not None:
+                    group.append(i)
         majority = self.majority(counts)
         branches = {}
         for code, symbol in enumerate(domain):
@@ -349,20 +335,19 @@ class _TreeBuilder:
         `children` holds each child's class counts. For a discrete split
         it maps each observed value code to its child's counts, whose
         keys are in that child's first-appearance order. For a numeric
-        split it is `((low_rank, low_counts), (high_rank, high_counts))`:
-        the largest value code below the cut and the smallest above it,
-        with each side's counts, which are not in its rows' order. `cut`
-        is the number of rows on the low side of a numeric split and None
-        for a discrete one.
+        split it is `(low_counts, high_counts)`, which are not in the
+        sides' row order. `cut` is the number of rows on the low side of
+        a numeric split and None for a discrete one.
         """
         total = len(indices)
         width = len(self.classes)
+        rows = None if indices is self.rows else indices
         best = None
         best_key = (-1, -math.inf)  # (positive-gain flag, gain ratio)
         live = []
         for column in columns:
             by_value: dict = {}
-            for pair, c in _count(column.pairs, indices).items():
+            for pair, c in _count(column.pairs, rows).items():
                 value, klass = divmod(pair, width)
                 group = by_value.get(value)
                 if group is None:
@@ -388,8 +373,7 @@ class _TreeBuilder:
                 continue
             low: dict = {}
             cut = 0
-            ranks = sorted(by_value)
-            for value, above in zip(ranks, ranks[1:]):
+            for value in sorted(by_value)[:-1]:
                 for klass, c in by_value[value].items():
                     low[klass] = low.get(klass, 0) + c
                     cut += c
@@ -405,7 +389,7 @@ class _TreeBuilder:
                 if key > best_key:
                     best_key = key
                     high_counts = {k: c for k, c in zip(counts, high) if c > 0}
-                    best = (column, cut, ((value, dict(low)), (above, high_counts)))
+                    best = (column, cut, (dict(low), high_counts))
         return best, live
 
 
@@ -468,11 +452,10 @@ def induce(train: TemporalisedDataset) -> RuleSet:
         raise DataError("classification requires discrete decision")
 
     builder = _TreeBuilder(train)
-    indices = list(range(train.n))
-    counts = builder.class_counts(indices)
+    counts = _count(builder.class_codes, None)
     d, pos = train.decision_column
     return RuleSet(
-        tree=builder.build(indices, builder.columns, counts),
+        tree=builder._pure_leaf(counts) or builder.build(builder.rows, builder.columns, counts),
         default_class=builder.majority(counts),
         decision_attribute=d,
         decision_time=pos,
