@@ -8,7 +8,7 @@ from .dataset import (
     load_csv,
     split_chronological,
 )
-from .induction import Condition, EvalResult, Rule, RuleSet, classify, evaluate, induce
+from .induction import Condition, Rule, RuleSet, classify, evaluate, induce
 from .semantics import (
     RelationKind,
     classify_rule_set,
@@ -43,7 +43,6 @@ __all__ = [
     "Candidate",
     "Condition",
     "DataError",
-    "EvalResult",
     "EventSequence",
     "RelationKind",
     "RobotWorldConfig",

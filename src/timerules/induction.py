@@ -2,11 +2,11 @@
 
 The learner grows a tree over a temporalised dataset: discrete columns
 split multiway on their full domain (value-absent branches become leaves
-carrying the node majority), numeric columns split at midpoints between
-consecutive observed values. The tree is the rule set: its root-to-leaf
-paths, read off on demand, are the rules, all sharing one decision
-column. A record is classified by the one leaf it reaches; a symbol no
-branch covers sends it to the global default class.
+carrying the node majority), numeric columns split between consecutive
+observed values, at their midpoint when it falls between them. The tree
+is the rule set: its root-to-leaf paths, read off on demand, are the
+rules, all sharing one decision column. A record is classified by the
+one leaf it reaches; a symbol no branch covers sends it to the default class.
 
 The learner reads the training set's column views and their small-int
 pair codes, `value_code * C + class_code` for C classes, where a numeric
@@ -150,17 +150,6 @@ class RuleSet:
         return "\n".join(rule.render() for rule in self.rules)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Accuracies and size for one induced rule set."""
-
-    training_accuracy: float
-    predictive_accuracy: float | None
-    rule_size: int
-    test_set_size: int
-    training_set_size: int
-
-
 @dataclass
 class _Leaf:
     value: object
@@ -251,10 +240,6 @@ class _TreeBuilder:
         columns.sort(key=lambda c: (c.attribute, c.time))
         self.columns = columns
 
-    def class_counts(self, indices: list[int]) -> dict[int, int]:
-        """Class-code counts in first-appearance order among `indices`."""
-        return _count(self.class_codes, indices)
-
     def majority(self, counts: dict[int, int]) -> object:
         best = max(counts.values())
         return self.classes[min(k for k, c in counts.items() if c == best)]
@@ -272,9 +257,14 @@ class _TreeBuilder:
         A child whose class counts from the winning split hold one class
         becomes a leaf and is not built. A discrete split groups only its
         impure children's rows, which inherit their counts.
+
+        A numeric split's threshold is the midpoint of the values either
+        side of the cut if it lies in [below, above), else `below` itself
+        (C4.5's thresholds are observed values): a midpoint can round onto
+        either side, or overflow.
         """
         if counts is None:
-            counts = self.class_counts(indices)
+            counts = _count(self.class_codes, indices)
         best, live = self._best_split(
             indices, counts, _entropy(counts.values(), len(indices)), columns
         )
@@ -286,13 +276,17 @@ class _TreeBuilder:
         if column.numeric:
             ordered = sorted(indices, key=values.__getitem__)
             low, high = ordered[:cut], ordered[cut:]
+            below, above = values[low[-1]], values[high[0]]
+            threshold = (below + above) / 2
+            if not below <= threshold < above:
+                threshold = below
             low_counts, high_counts = children
             # a side's counts are in ascending-value order, not its rows'
             # first-appearance order, so an impure side counts them again
             return _NumericSplit(
                 column.attribute,
                 column.time,
-                (values[low[-1]] + values[high[0]]) / 2,
+                threshold,
                 self._pure_leaf(low_counts) or self.build(low, live),
                 self._pure_leaf(high_counts) or self.build(high, live),
             )
@@ -447,8 +441,7 @@ def induce(train: TemporalisedDataset) -> RuleSet:
     """Grow a gain-ratio tree over `train`; its leaf paths are the rules."""
     if train.n == 0:
         raise DataError("empty training data")
-    decision = train.decision_schema
-    if decision.kind != "discrete":
+    if train.decision_schema.kind != "discrete":
         raise DataError("classification requires discrete decision")
 
     builder = _TreeBuilder(train)

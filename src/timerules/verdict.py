@@ -6,7 +6,8 @@ temporal kind of their rules (a rule set without conditions keeps its
 declared kind), and lets the best representatives compete through
 `select_relation`: overlapping accuracy intervals favour the conceptually
 simpler kind (when it is also no larger), disjoint intervals favour raw
-accuracy.
+accuracy. The report stores what the sweep computed and derives the
+rest.
 
 A job is just (d, w, pos). The sweep's train and test sequences reach
 each process-pool worker once, through the pool initializer, so the
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
 from .dataset import DataError, EventSequence, as_discrete, split_chronological
-from .induction import EvalResult, evaluate, induce
+from .induction import evaluate, induce
 from .semantics import (
     RelationKind,
     classify_rule_set,  # noqa: F401  unused; benchmarks/spans.py wraps it in this module
@@ -129,23 +130,27 @@ def compute_accuracy_interval(
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """One (w, pos) experiment with its declared and actual rule kinds."""
+    """One (w, pos) experiment: its rule kinds, accuracies, size and record counts.
+
+    No predictive accuracy is measured when the test sequence is shorter
+    than the window."""
 
     w: int
     pos: int
     declared_kind: RelationKind
     actual_kind: RelationKind
-    eval: EvalResult
+    training_accuracy: float
+    predictive_accuracy: float | None
+    rule_size: int
+    test_set_size: int
+    training_set_size: int
 
-    def accuracy(self, mode: str) -> float:
-        if mode == "predictive" and self.eval.predictive_accuracy is not None:
-            return self.eval.predictive_accuracy
-        return self.eval.training_accuracy
-
-    def evaluation_count(self, mode: str) -> int:
-        if mode == "predictive" and self.eval.predictive_accuracy is not None:
-            return self.eval.test_set_size
-        return self.eval.training_set_size
+    def scored(self, mode: str) -> tuple[float, int]:
+        """The accuracy `mode` selects and its record count; predictive mode
+        falls back to training when there is no predictive accuracy."""
+        if mode == "predictive" and self.predictive_accuracy is not None:
+            return self.predictive_accuracy, self.test_set_size
+        return self.training_accuracy, self.training_set_size
 
 
 @dataclass(frozen=True)
@@ -195,25 +200,16 @@ def select_relation(candidates: Sequence[Candidate], preference: str) -> Selecti
     steps = []
     for challenger in ordered[1:]:
         overlap = challenger.interval.overlaps(winner.interval)
-        took_over = False
         if overlap:
-            if (
+            took_over = (
                 is_simpler(challenger.kind, winner.kind)
                 and challenger.rule_size <= winner.rule_size
-            ):
-                winner = challenger
-                took_over = True
-        elif challenger.accuracy > winner.accuracy:
-            winner = challenger
-            took_over = True
-        steps.append(
-            SelectionStep(
-                challenger=challenger.kind,
-                overlap=overlap,
-                took_over=took_over,
-                winner_after=winner.kind,
             )
-        )
+        else:
+            took_over = challenger.accuracy > winner.accuracy
+        if took_over:
+            winner = challenger
+        steps.append(SelectionStep(challenger.kind, overlap, took_over, winner.kind))
     return Selection(
         winner=winner.kind,
         order=tuple(c.kind for c in ordered),
@@ -235,16 +231,30 @@ NO_VERDICT = "no-verdict"
 
 @dataclass(frozen=True)
 class VerdictReport:
-    """Everything one run produced: outcomes, best per kind, final call."""
+    """What one run computed; `d`, `final` and `generator_runs` derive from it.
 
-    d: str
+    A kind no outcome has maps to None in `best` and `intervals`, and
+    `selection` is None when no best reaches `spec.ac_th`."""
+
     spec: RunSpec
     outcomes: tuple[TestOutcome, ...]
     best: Mapping[RelationKind, TestOutcome | None]
     intervals: Mapping[RelationKind, AccuracyInterval | None]
-    final: str
-    generator_runs: int
-    selection: Selection | None = field(default=None, compare=False)
+    selection: Selection | None
+
+    @property
+    def d(self) -> str:
+        return self.spec.d
+
+    @property
+    def final(self) -> str:
+        return NO_VERDICT if self.selection is None else str(self.selection.winner)
+
+    @property
+    def generator_runs(self) -> int:
+        """The paper's rule-generator run count (acceptance criterion 6 pins
+        it), which counts (1, 1) twice when alpha is 1; the sweep grows it once."""
+        return rule_generator_run_count(self.spec.alpha, self.spec.beta)
 
     @property
     def verdict_line(self) -> str:
@@ -259,18 +269,17 @@ class VerdictReport:
             return f"{round(value * 100, 1):g}%"
 
         header = ("Win", "Pos", "T Acc", "P Acc", "Type of test", "Actual rules")
-        rows = [header]
-        for outcome in self.outcomes:
-            rows.append(
-                (
-                    str(outcome.w),
-                    str(outcome.pos),
-                    pct(outcome.eval.training_accuracy),
-                    pct(outcome.eval.predictive_accuracy),
-                    str(outcome.declared_kind),
-                    str(outcome.actual_kind),
-                )
+        rows = [header] + [
+            (
+                str(o.w),
+                str(o.pos),
+                pct(o.training_accuracy),
+                pct(o.predictive_accuracy),
+                str(o.declared_kind),
+                str(o.actual_kind),
             )
+            for o in self.outcomes
+        ]
         widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
         lines = [
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
@@ -282,37 +291,29 @@ class VerdictReport:
             if outcome is None:
                 lines.append(f"best {kind}: no qualifying rule set")
                 continue
-            interval = self.intervals[kind]
             lines.append(
-                f"best {kind}: {pct(outcome.accuracy(self.spec.accuracy_mode))}"
+                f"best {kind}: {pct(outcome.scored(self.spec.accuracy_mode)[0])}"
                 f" (w={outcome.w}, pos={outcome.pos},"
-                f" {outcome.eval.rule_size} rules,"
-                f" interval {interval.render() if interval else '-'})"
+                f" {outcome.rule_size} rules,"
+                f" interval {self.intervals[kind].render()})"
             )
         lines.append("")
         lines.append(self.verdict_line)
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
+        spec = asdict(self.spec)
+        del spec["d"]
         return {
             "decision_attribute": self.d,
-            "spec": {
-                "alpha": self.spec.alpha,
-                "beta": self.spec.beta,
-                "ac_th": self.spec.ac_th,
-                "cl": self.spec.cl,
-                "preference": self.spec.preference,
-                "test_count": self.spec.test_count,
-                "accuracy_mode": self.spec.accuracy_mode,
-                "interval_method": self.spec.interval_method,
-            },
+            "spec": spec,
             "outcomes": [
                 {
                     "w": o.w,
                     "pos": o.pos,
-                    "training_accuracy": o.eval.training_accuracy,
-                    "predictive_accuracy": o.eval.predictive_accuracy,
-                    "rule_size": o.eval.rule_size,
+                    "training_accuracy": o.training_accuracy,
+                    "predictive_accuracy": o.predictive_accuracy,
+                    "rule_size": o.rule_size,
                     "declared": str(o.declared_kind),
                     "actual": str(o.actual_kind),
                 }
@@ -321,21 +322,17 @@ class VerdictReport:
             "best": {
                 str(kind): (
                     None
-                    if self.best.get(kind) is None
+                    if self.best[kind] is None
                     else {
                         "w": self.best[kind].w,
                         "pos": self.best[kind].pos,
-                        "accuracy": self.best[kind].accuracy(self.spec.accuracy_mode),
-                        "rule_size": self.best[kind].eval.rule_size,
-                        "interval": (
-                            None
-                            if self.intervals.get(kind) is None
-                            else {
-                                "lo": self.intervals[kind].lo,
-                                "hi": self.intervals[kind].hi,
-                                "n": self.intervals[kind].n,
-                            }
-                        ),
+                        "accuracy": self.best[kind].scored(self.spec.accuracy_mode)[0],
+                        "rule_size": self.best[kind].rule_size,
+                        "interval": {
+                            "lo": self.intervals[kind].lo,
+                            "hi": self.intervals[kind].hi,
+                            "n": self.intervals[kind].n,
+                        },
                     }
                 )
                 for kind in COMPETING_KINDS
@@ -370,13 +367,11 @@ def _run_single(
         pos=pos,
         declared_kind=declared,
         actual_kind=actual,
-        eval=EvalResult(
-            training_accuracy=training_accuracy,
-            predictive_accuracy=predictive_accuracy,
-            rule_size=rule_set.size,
-            test_set_size=test_size,
-            training_set_size=train_set.n,
-        ),
+        training_accuracy=training_accuracy,
+        predictive_accuracy=predictive_accuracy,
+        rule_size=rule_set.size,
+        test_set_size=test_size,
+        training_set_size=train_set.n,
     )
 
 
@@ -403,7 +398,6 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
     The sweep is deterministic regardless of worker count, and uses no
     more workers than it has jobs: a single job starts no process pool.
     """
-    data.attribute(spec.d)
     train, test = split_chronological(as_discrete(data, spec.d), spec.test_count)
     if spec.beta >= train.n:
         raise DataError(
@@ -425,50 +419,22 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
         ordered = tuple(_run_single(train, test, *job) for job in jobs)
     mode = spec.accuracy_mode
     best: dict[RelationKind, TestOutcome | None] = {}
+    intervals: dict[RelationKind, AccuracyInterval | None] = dict.fromkeys(COMPETING_KINDS)
+    candidates = []
     for kind in COMPETING_KINDS:
-        bucket = [o for o in ordered if o.actual_kind == kind]
-        best[kind] = min(
-            bucket,
-            key=lambda o: (-o.accuracy(mode), o.eval.rule_size, o.w, o.pos),
+        outcome = best[kind] = min(
+            (o for o in ordered if o.actual_kind == kind),
+            key=lambda o: (-o.scored(mode)[0], o.rule_size, o.w, o.pos),
             default=None,
         )
-
-    present = [kind for kind in COMPETING_KINDS if best[kind] is not None]
-    intervals: dict[RelationKind, AccuracyInterval | None] = {
-        kind: None for kind in COMPETING_KINDS
-    }
-    for kind in present:
-        outcome = best[kind]
-        intervals[kind] = compute_accuracy_interval(
-            outcome.accuracy(mode),
-            outcome.evaluation_count(mode),
-            spec.cl,
-            spec.interval_method,
-        )
+        if outcome is not None:
+            accuracy, n = outcome.scored(mode)
+            interval = intervals[kind] = compute_accuracy_interval(
+                accuracy, n, spec.cl, spec.interval_method
+            )
+            candidates.append(Candidate(kind, accuracy, outcome.rule_size, interval))
 
     selection = None
-    if max(best[kind].accuracy(mode) for kind in present) < spec.ac_th:
-        final = NO_VERDICT
-    else:
-        candidates = [
-            Candidate(
-                kind=kind,
-                accuracy=best[kind].accuracy(mode),
-                rule_size=best[kind].eval.rule_size,
-                interval=intervals[kind],
-            )
-            for kind in present
-        ]
+    if max(c.accuracy for c in candidates) >= spec.ac_th:
         selection = select_relation(candidates, spec.preference)
-        final = str(selection.winner)
-
-    return VerdictReport(
-        d=spec.d,
-        spec=spec,
-        outcomes=ordered,
-        best=best,
-        intervals=intervals,
-        final=final,
-        generator_runs=rule_generator_run_count(spec.alpha, spec.beta),
-        selection=selection,
-    )
+    return VerdictReport(spec, ordered, best, intervals, selection)

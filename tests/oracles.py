@@ -235,11 +235,16 @@ class ReferenceTree:
                     key = (1 if gain > _GAIN_EPS else 0, gain / split_info)
                     if key > best_key:
                         best_key = key
+                        # C4.5 falls back to an observed value (Quinlan 1993);
+                        # a float midpoint can round onto a side or overflow
+                        threshold = (v_prev + v_here) / 2
+                        if not v_prev <= threshold < v_here:
+                            threshold = v_prev
                         best = {
                             "kind": "numeric",
                             "attribute": attr,
                             "time": time,
-                            "threshold": (v_prev + v_here) / 2,
+                            "threshold": threshold,
                             "low": ordered[:cut],
                             "high": ordered[cut:],
                         }

@@ -86,25 +86,25 @@ def test_criterion_2_robot_verdict_is_p_causal(robot_report):
     forward = [o for o in result.outcomes if o.w >= 2 and o.pos == o.w]
     assert len(forward) == 4
     for outcome in forward:
-        assert outcome.eval.training_accuracy == 1.0
-        assert outcome.eval.predictive_accuracy == 1.0
+        assert outcome.training_accuracy == 1.0
+        assert outcome.predictive_accuracy == 1.0
 
     instantaneous = next(o for o in result.outcomes if o.w == 1)
-    assert instantaneous.eval.training_accuracy <= 0.35
-    assert instantaneous.eval.predictive_accuracy <= 0.35
+    assert instantaneous.training_accuracy <= 0.35
+    assert instantaneous.predictive_accuracy <= 0.35
 
     backward = [o for o in result.outcomes if o.w >= 2 and o.pos == 1]
     assert len(backward) == 4
     for outcome in backward:
-        assert 0.40 <= outcome.eval.predictive_accuracy <= 0.70
+        assert 0.40 <= outcome.predictive_accuracy <= 0.70
 
     assert result.final == "p-causal"
-    assert result.best[P].accuracy("predictive") == 1.0
+    assert result.best[P].scored("predictive")[0] == 1.0
     assert elapsed < 60.0
     report(
         2,
         f"robot sweep verdict p-causal in {elapsed:.1f}s; pos=w rows exact 100%, "
-        f"instantaneous {instantaneous.eval.predictive_accuracy:.1%}, "
+        f"instantaneous {instantaneous.predictive_accuracy:.1%}, "
         f"retrodiction within [40%, 70%]",
     )
 
@@ -118,7 +118,7 @@ def test_criterion_3_reclassified_outcomes_exist(robot_report):
     ]
     assert reclassified
     assert any(
-        o.eval.training_accuracy == 1.0 and o.eval.predictive_accuracy == 1.0
+        o.training_accuracy == 1.0 and o.predictive_accuracy == 1.0
         for o in reclassified
     )
     rows = ", ".join(f"(w={o.w}, pos={o.pos})" for o in reclassified)
@@ -159,8 +159,8 @@ def test_criterion_5_symmetric_series_verdict_is_acausal():
     forward = next(o for o in result.outcomes if (o.w, o.pos) == (2, 2))
     backward = next(o for o in result.outcomes if (o.w, o.pos) == (2, 1))
     for outcome in (forward, backward):
-        assert outcome.eval.training_accuracy == 1.0
-        assert outcome.eval.predictive_accuracy == 1.0
+        assert outcome.training_accuracy == 1.0
+        assert outcome.predictive_accuracy == 1.0
     assert result.intervals[A].overlaps(result.intervals[P])
     assert result.final == "acausal"
     report(5, "periodic series: both directions exact 100%, overlap, verdict acausal")

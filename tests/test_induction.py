@@ -72,6 +72,16 @@ NUMERIC_POOL = (-2, 0, 1, 1.0, 1.5, 2, 2.0, 3, 7.25, 10)
 SYMBOL_POOL = ("p", "q", "r")
 UNSEEN_SYMBOL = "s"
 CLASS_POOL = ("A", "B", "C", "D")
+# values whose float midpoint can miss the gap between neighbours: it
+# rounds onto one of them (adjacent floats, ints past 2**53), below both
+# (ints past 2**54), or overflows (the largest floats)
+_BIG_INTS = tuple(b + k for b in (2**53, 2**54) for k in range(-1, 4))
+EDGE_POOL = (
+    _BIG_INTS
+    + tuple(map(float, _BIG_INTS))
+    + (1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51)
+    + (-1.7e308, 1.7e308, 1.75e308)
+)
 
 
 @st.composite
@@ -119,6 +129,21 @@ def random_tables(draw):
     return temporalise(spec, train), temporalise(spec, test)
 
 
+@st.composite
+def consistent_numeric_tables(draw):
+    """A w=1 table of one numeric column and a two-class decision.
+
+    The column's values come from `EDGE_POOL`; equal values, an int and
+    its float spelling too, share a class.
+    """
+    values = draw(st.lists(st.sampled_from(EDGE_POOL), min_size=1, max_size=10))
+    distinct = list(dict.fromkeys(values))
+    n = len(distinct)
+    classes = draw(st.lists(st.sampled_from("AB"), min_size=n, max_size=n))
+    label = dict(zip(distinct, classes))
+    return flat_table([(v, label[v]) for v in values], kinds=["numeric", "discrete"])
+
+
 class TestCounting:
     def test_counts_in_first_appearance_order_on_both_sides_of_the_cutoff(self):
         # every entropy sum follows the count's key order, so both the
@@ -163,14 +188,14 @@ class TestPureChildren:
 
     def test_pure_numeric_sides_take_the_sorted_boundary_rows(self):
         # 2**53 + 2 and its float spelling are one value with one code,
-        # yet each gives another midpoint with its neighbour: the threshold
-        # must come from the rows a stable sort puts either side of the
-        # cut, which reversing the rows swaps
+        # yet each gives another midpoint with its neighbour, and near
+        # 2**53 a midpoint can round onto the high side: the threshold
+        # comes from the rows a stable sort puts either side of the cut,
+        # which reversing the rows swaps, and must still separate them
         big = 2**53 + 2
         sides = (([2**53 + 1], [big, float(big)]), ([big, float(big)], [2**53 + 3]))
         for low, high in sides:
             rows = [(v, "A") for v in low] + [(v, "B") for v in high]
-            rendered = set()
             for ordered in (rows, rows[::-1]):
                 train = flat_table(ordered, kinds=["numeric", "discrete"])
                 with spy_build() as build:
@@ -178,8 +203,8 @@ class TestPureChildren:
                 assert build.call_count == 1
                 assert rule_set.size == 2
                 assert rule_set.render() == "\n".join(ReferenceTree(train).rule_lines())
-                rendered.add(rule_set.render())
-            assert len(rendered) == 2
+                assert evaluate(rule_set, train) == 1.0
+                assert max(low) <= rule_set.tree.threshold < min(high)
 
     @settings(
         max_examples=150,
@@ -252,6 +277,14 @@ class TestInduce:
         rendered = rule_set.render()
         assert "v@t1<=3.5" in rendered
         assert "v@t1>3.5" in rendered
+
+    @settings(max_examples=300, deadline=None)
+    @given(train=consistent_numeric_tables())
+    def test_consistent_table_is_fit_exactly(self, train):
+        # the learner grows until each leaf is pure or no column varies, so
+        # on a table whose column decides the class every row is fit, as
+        # long as each threshold separates the two sides it was grown from
+        assert evaluate(induce(train), train) == 1.0
 
     def test_noise_split_never_beats_signal(self):
         # `noise` preserves the class distribution exactly; `signal` decides it

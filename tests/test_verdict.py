@@ -320,7 +320,7 @@ class TestRunTimers:
             RunSpec(d="c", alpha=2, beta=3, ac_th=0.9, test_count=32), noise
         )
         best = max(
-            report.best[k].accuracy("predictive")
+            report.best[k].scored("predictive")[0]
             for k in (I, A, P)
             if report.best[k] is not None
         )
@@ -335,15 +335,15 @@ class TestRunTimers:
             series,
         )
         outcome = report.best[P]
-        assert outcome.eval.predictive_accuracy is None
-        assert report.intervals[P].n == outcome.eval.training_set_size
+        assert outcome.predictive_accuracy is None
+        assert report.intervals[P].n == outcome.training_set_size
 
     def test_short_test_tail_falls_back_to_training(self):
         series = generate_periodic(4, 61)
         report = run_timers(RunSpec(d="x", alpha=3, beta=3, test_count=1), series)
         for outcome in report.outcomes:
             if outcome.w > 1:
-                assert outcome.eval.predictive_accuracy is None
+                assert outcome.predictive_accuracy is None
 
     def test_unknown_decision_attribute(self):
         with pytest.raises(DataError, match="unknown attribute"):
@@ -364,7 +364,7 @@ class TestRunTimers:
         records = tuple((i % 3, ("s", "t")[i % 2]) for i in range(60))
         data = from_rows(schema, records)
         report = run_timers(RunSpec(d="v", alpha=2, beta=2, test_count=12), data)
-        assert report.best[P].accuracy("predictive") == 1.0
+        assert report.best[P].scored("predictive")[0] == 1.0
 
     def test_alpha_one_trains_each_window_once(self, monkeypatch):
         trained = []
@@ -387,7 +387,7 @@ class TestRunTimers:
         walk = generate_robot_walk(RobotWorldConfig(steps=300, seed=4))
         report = run_timers(RunSpec(d="x", beta=3, test_count=60), walk)
         assert report.final == "p-causal"
-        assert all(o.eval.rule_size > 1 for o in report.outcomes)
+        assert all(o.rule_size > 1 for o in report.outcomes)
 
     def test_conditionless_rules_report_their_declared_kind(self):
         # a constant decision grows a single bare leaf in every window
@@ -398,7 +398,7 @@ class TestRunTimers:
         records = tuple((str(i % 2), "p") for i in range(40))
         data = from_rows(schema, records)
         report = run_timers(RunSpec(d="c", alpha=2, beta=3, test_count=10), data)
-        assert all(o.eval.rule_size == 1 for o in report.outcomes)
+        assert all(o.rule_size == 1 for o in report.outcomes)
         assert [o.actual_kind for o in report.outcomes] == [
             o.declared_kind for o in report.outcomes
         ]
@@ -433,6 +433,41 @@ class TestRunTimers:
         assert payload["generator_runs"] == 3
         assert len(payload["outcomes"]) == 3
         assert payload["best"]["p-causal"]["accuracy"] == 1.0
+
+    def test_spec_block_lists_non_default_options_in_field_order(self):
+        # the benchmark fingerprints run only the default preference,
+        # accuracy mode and interval method, so nothing else pins this block
+        spec = RunSpec(
+            d="x", alpha=2, beta=3, ac_th=0.7, cl=0.95, preference="simpler_method",
+            test_count=40, accuracy_mode="training", interval_method="wilson",
+        )
+        report = run_timers(spec, generate_periodic(8, 240))
+        assert list(report.to_dict()["spec"].items()) == [
+            ("alpha", 2),
+            ("beta", 3),
+            ("ac_th", 0.7),
+            ("cl", 0.95),
+            ("preference", "simpler_method"),
+            ("test_count", 40),
+            ("accuracy_mode", "training"),
+            ("interval_method", "wilson"),
+        ]
+        assert report.d == report.spec.d == "x"
+        assert report.to_dict()["decision_attribute"] == "x"
+
+    def test_final_call_is_derived_from_the_selection(self):
+        periodic = generate_periodic(8, 240)
+        noise = noise_sequence(5)
+        reports = [
+            run_timers(RunSpec(d="x", beta=3, test_count=40), periodic),
+            run_timers(RunSpec(d="c", beta=3, ac_th=0.9, test_count=32), noise),
+            run_timers(RunSpec(d="c", beta=3, ac_th=0.0, test_count=32), noise),
+        ]
+        assert [r.selection is None for r in reports] == [False, True, False]
+        for report in reports:
+            assert (report.final == "no-verdict") == (report.selection is None)
+            if report.selection is not None:
+                assert report.final == str(report.selection.winner)
 
     def test_render_text_mirrors_result_tables(self):
         report = run_timers(
