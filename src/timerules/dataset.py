@@ -283,6 +283,8 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
         rows = [row for row in csv.reader(handle)]
     if not rows:
         raise DataError(f"{path}: file is empty")
+    if not rows[0]:
+        raise DataError(f"{path}: the first row is empty, so the file has no columns")
 
     if header_mode == "first-row-names":
         names, data = [t.strip() for t in rows[0]], rows[1:]

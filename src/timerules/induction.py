@@ -8,12 +8,14 @@ is the rule set: its root-to-leaf paths, read off on demand, are the
 rules, all sharing one decision column. A record is classified by the
 one leaf it reaches; a symbol no branch covers sends it to the default class.
 
-The learner reads the training set's column views and their small-int
-pair codes, `value_code * C + class_code` for C classes, where a numeric
-value's code is its rank among the source sequence's sorted distinct
-values (the presorting idea of C4.5 and SPRINT). The source sequence
-codes each (decision, attribute, time offset) once, so every (w, pos) of
-a sweep slices the same codes. A node counts its rows' pair codes per
+The learner reads the training window's column views and asks the
+window for its codes: each row's class code and, per column, its
+small-int pair codes, `value_code * C + class_code` for C classes, where
+a numeric value's code is its rank among the source sequence's sorted
+distinct values (the presorting idea of C4.5 and SPRINT). The window
+slices them from the codes its source sequence caches per (decision,
+attribute, time offset), so every (w, pos) of a sweep slices the same
+codes and the learner does no window arithmetic of its own. A node counts its rows' pair codes per
 column in one pass and scores every candidate split from those counts
 alone, and the winning split hands back each child's class counts (as
 C4.5 knows a child's class distribution once the split is scored). A
@@ -217,23 +219,20 @@ class _TreeBuilder:
     """Gain-ratio tree growth over integer-coded training columns.
 
     Classes are coded by their index in the decision domain, which is
-    also the majority tie-break order. The pair codes are slices of the
-    ones the source sequence caches per (decision, attribute, offset); a
-    node counts its rows' pair codes in one pass per live column.
+    also the majority tie-break order. The class and pair codes come from
+    the window; a node counts its rows' pair codes in one pass per live
+    column.
     """
 
     def __init__(self, train: TemporalisedDataset):
-        source = train.source
-        d, pos = train.decision_column
-        self.classes = train.decision_schema.domain or ()
-        start, stop = pos - 1, pos - 1 + train.n
-        self.class_codes = source.value_codes(d)[start:stop].tolist()
+        self.classes = train.source.attribute(train.provenance.d).domain
+        self.class_codes = train.class_codes()
         # every row in order: the root's rows, which count whole columns
         self.rows = list(range(train.n))
         columns = []
         for (attr, time), values in zip(train.condition_columns, train.columns):
-            schema = source.attribute(attr)
-            pairs = source.pair_codes(d, attr, time - pos, start, stop)
+            schema = train.source.attribute(attr)
+            pairs = train.pair_codes(attr, time)
             numeric = schema.kind == "numeric"
             columns.append(_Column(attr, time, numeric, schema.domain, values, pairs))
         # column scan order fixes gain-ratio ties: lowest (attribute, time) wins
@@ -439,14 +438,12 @@ def _extract_rules(node, path, out, decision_attribute, decision_time):
 
 def induce(train: TemporalisedDataset) -> RuleSet:
     """Grow a gain-ratio tree over `train`; its leaf paths are the rules."""
-    if train.n == 0:
-        raise DataError("empty training data")
-    if train.decision_schema.kind != "discrete":
+    d, pos = train.decision_column
+    if train.source.attribute(d).kind != "discrete":
         raise DataError("classification requires discrete decision")
 
     builder = _TreeBuilder(train)
     counts = _count(builder.class_codes, None)
-    d, pos = train.decision_column
     return RuleSet(
         tree=builder._pure_leaf(counts) or builder.build(builder.rows, builder.columns, counts),
         default_class=builder.majority(counts),
@@ -476,8 +473,6 @@ def classify(rule_set: RuleSet, record: Mapping[str, object]) -> object:
 
 def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     """Fraction of records whose recorded decision the rule set reproduces."""
-    if data.n == 0:
-        raise DataError("cannot evaluate on an empty dataset")
     columns = dict(zip(data.condition_columns, data.columns))
     _reject_missing_columns(rule_set.tested, columns, "dataset")
     decisions = data.decisions

@@ -10,12 +10,13 @@ preceding records, then the following records, then the decision value.
 Window size 1 is the degenerate instantaneous case: the original data,
 with every other attribute serving as a same-time condition.
 
-The flat records are held as column views, never built row by row: the
-column of attribute a at window time t is the slice of a's source
-column starting at source row t-1, so row i of it is source row i+t-1.
-Every (w, pos) of a sweep slices the same source columns, which are the
-source sequence's own storage; the merged dataset keeps its source
-sequence, so the learner can reuse the codes cached there.
+A merged dataset is a view: its spec and its source sequence, nothing
+more. Everything else is derived from those two. The column of
+attribute a at window time t is the slice of a's source column starting
+at source row t-1, so row i of it is source row i+t-1, and the learner's
+value and pair codes are the same slices of the codes the source caches.
+Every (w, pos) of a sweep therefore slices the same source columns and
+the same codes, and no flat record is built row by row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .dataset import AttributeSchema, DataError, EventSequence, write_csv
+from .dataset import DataError, EventSequence, write_csv
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,6 @@ class TemporalisationSpec:
                 f"position must be within 1..{self.w}, got {self.pos}"
             )
 
-    @property
-    def preceding(self) -> int:
-        return self.pos - 1
-
-    @property
-    def following(self) -> int:
-        return self.w - self.pos
-
 
 def column_name(attribute: str, time: int) -> str:
     return f"{attribute}@t{time}"
@@ -61,50 +54,75 @@ def column_name(attribute: str, time: int) -> str:
 
 @dataclass(frozen=True)
 class TemporalisedDataset:
-    """Time-indexed columns of flat records with one decision value each.
+    """The flat records of the spec `provenance` over the sequence `source`.
 
-    `columns[k]` holds condition column `condition_columns[k]` and
-    `decisions` the decision column, all of length `n`: row i of column
-    (attribute, t) is source row i+t-1 of `source`. `records` joins them
-    row-wise, decision value last. `source` resolves a column's kind and
-    domain and holds the codes the learner reads.
+    Building one checks that `source` holds the decision attribute, at
+    least w records and no missing value, so every window has rows and
+    no `?` cell. `columns[k]` holds condition column
+    `condition_columns[k]` and `decisions` the decision column, all of
+    length `n`: row i of column (attribute, t) is source row i+t-1.
+    `records` joins them row-wise, decision value last. `source`
+    resolves a column's kind and domain; `class_codes` and `pair_codes`
+    are the window's slices of the codes it caches.
     """
 
-    condition_columns: tuple[tuple[str, int], ...]
-    decision_column: tuple[str, int]
-    columns: tuple[tuple[object, ...], ...]
-    decisions: tuple[object, ...]
     provenance: TemporalisationSpec
-    source: EventSequence = field(repr=False, compare=False)
+    source: EventSequence = field(repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.columns) != len(self.condition_columns):
-            raise DataError(
-                f"{len(self.columns)} columns for "
-                f"{len(self.condition_columns)} condition columns"
-            )
-        if any(len(column) != self.n for column in self.columns):
-            raise DataError("every column must hold one value per decision")
+        self.source.attribute(self.provenance.d)
+        temporalised_record_count(self.source.n, self.provenance.w)
+        reject_missing(self.source)
 
     @property
     def n(self) -> int:
-        return len(self.decisions)
+        return self.source.n - self.provenance.w + 1
+
+    @property
+    def decision_column(self) -> tuple[str, int]:
+        return self.provenance.d, self.provenance.pos
+
+    @cached_property
+    def condition_columns(self) -> tuple[tuple[str, int], ...]:
+        """(attribute, time) of every condition column, in field order."""
+        w, pos, d = self.provenance.w, self.provenance.pos, self.provenance.d
+        names = self.source.attribute_names
+        if w == 1:
+            return tuple((name, 1) for name in names if name != d)
+        return tuple((name, t) for t in range(1, w + 1) if t != pos for name in names)
 
     @property
     def field_count(self) -> int:
         return len(self.condition_columns) + 1
+
+    def _rows(self, column, time: int):
+        """The window's rows, at time `time`, of a column aligned with the source's."""
+        return column[time - 1 : time - 1 + self.n]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[object, ...], ...]:
+        source = dict(zip(self.source.attribute_names, self.source.columns))
+        return tuple(self._rows(source[a], t) for a, t in self.condition_columns)
+
+    @cached_property
+    def decisions(self) -> tuple[object, ...]:
+        d, pos = self.decision_column
+        return self._rows(self.source.columns[self.source.column_index(d)], pos)
 
     @cached_property
     def records(self) -> tuple[tuple[object, ...], ...]:
         """Row-wise view: the condition values of each row, then its decision."""
         return tuple(zip(*self.columns, self.decisions))
 
-    def attribute(self, name: str) -> AttributeSchema:
-        return self.source.attribute(name)
+    def class_codes(self) -> list[int]:
+        """Each row's decision code: the value's index in the decision domain."""
+        d, pos = self.decision_column
+        return self._rows(self.source.value_codes(d), pos).tolist()
 
-    @property
-    def decision_schema(self) -> AttributeSchema:
-        return self.attribute(self.decision_column[0])
+    def pair_codes(self, attribute: str, time: int) -> list[int]:
+        """`value_code * C + class_code` of each row, for column (attribute, time)."""
+        d, pos = self.decision_column
+        return self.source.pair_codes(d, attribute, time - pos, pos - 1, pos - 1 + self.n)
 
     def to_csv(self, path: str | Path) -> None:
         """Debug dump with `attr@t<k>` headers, decision column last."""
@@ -121,7 +139,8 @@ def temporalised_record_count(n: int, w: int) -> int:
     return n - w + 1
 
 
-def _reject_missing(data: EventSequence) -> None:
+def reject_missing(data: EventSequence) -> None:
+    """Raise a `DataError` naming the first record of `data` that holds a `?` cell."""
     row = data.first_missing_row
     if row is not None:
         raise DataError(
@@ -136,25 +155,4 @@ def temporalise(spec: TemporalisationSpec, data: EventSequence) -> TemporalisedD
     Each time-indexed column is one slice of a source column, so the
     flat records are never built row by row.
     """
-    data.attribute(spec.d)
-    n = temporalised_record_count(data.n, spec.w)
-    _reject_missing(data)
-
-    names = data.attribute_names
-    if spec.w == 1:
-        condition_columns = tuple((name, 1) for name in names if name != spec.d)
-    else:
-        times = [t for t in range(1, spec.w + 1) if t != spec.pos]
-        condition_columns = tuple((name, t) for t in times for name in names)
-    source = dict(zip(names, data.columns))
-    columns = tuple(source[name][t - 1 : t - 1 + n] for name, t in condition_columns)
-    decisions = source[spec.d][spec.pos - 1 : spec.pos - 1 + n]
-
-    return TemporalisedDataset(
-        condition_columns=condition_columns,
-        decision_column=(spec.d, spec.pos),
-        columns=columns,
-        decisions=decisions,
-        provenance=spec,
-        source=data,
-    )
+    return TemporalisedDataset(spec, data)

@@ -33,7 +33,7 @@ from .semantics import (
     is_simpler,
     simplicity_rank,
 )
-from .temporalise import TemporalisationSpec, temporalise
+from .temporalise import TemporalisationSpec, reject_missing, temporalise
 
 PREFERENCES = ("higher_accuracy", "simpler_method")
 ACCURACY_MODES = ("predictive", "training")
@@ -398,7 +398,10 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
     The sweep is deterministic regardless of worker count, and uses no
     more workers than it has jobs: a single job starts no process pool.
     """
-    train, test = split_chronological(as_discrete(data, spec.d), spec.test_count)
+    data = as_discrete(data, spec.d)
+    # checked before the split, so a record is named by its place in `data`
+    reject_missing(data)
+    train, test = split_chronological(data, spec.test_count)
     if spec.beta >= train.n:
         raise DataError(
             f"window range up to {spec.beta} needs more than {train.n} training records"

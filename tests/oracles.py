@@ -148,11 +148,12 @@ class ReferenceTree:
         self.records = train.records
         self.classes = [record[-1] for record in self.records]
         self.class_rank = {
-            symbol: i for i, symbol in enumerate(train.decision_schema.domain or ())
+            symbol: i
+            for i, symbol in enumerate(train.source.attribute(train.decision_column[0]).domain)
         }
         cols = []
         for k, (attr, time) in enumerate(train.condition_columns):
-            schema = train.attribute(attr)
+            schema = train.source.attribute(attr)
             cols.append((attr, time, k, schema.kind, schema.domain))
         cols.sort(key=lambda c: (c[0], c[1]))
         self.columns = cols

@@ -269,6 +269,16 @@ class TestAnalyze:
         assert code == 3
         assert "data error" in err
 
+    def test_missing_value_in_held_out_tail_names_its_record(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        path.write_text("x,y\n1,a\n2,b\n1,a\n2,b\n1,a\n2,b\n?,a\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "analyze", "--data", str(path), "--decision", "x",
+            "--max-window", "2", "--test-count", "2",
+        )
+        assert code == 3
+        assert "record 7 contains a missing value" in err
+
     def test_missing_file_is_a_data_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "analyze", "--data", str(tmp_path / "nope.csv"),

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +88,12 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             load_csv(write(tmp_path, ""))
+
+    @pytest.mark.parametrize("header_mode", ["first-row-names", "positional"])
+    def test_empty_first_row_means_no_columns(self, tmp_path, header_mode):
+        path = write(tmp_path, "\n\n\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: the first row is empty")):
+            load_csv(path, header_mode=header_mode)
 
     def test_header_only(self, tmp_path):
         with pytest.raises(DataError, match="no data rows"):

@@ -31,11 +31,6 @@ from oracles import ReferenceTree, best_tree_correct_count, condition_holds, fir
 from tables import from_rows
 
 
-def empty_like(data):
-    """`data` with every column, and the decision column, cut to zero rows."""
-    return replace(data, columns=tuple(() for _ in data.columns), decisions=())
-
-
 def flat_table(rows, kinds=None, names=None):
     """Build a w=1 training set from literal rows; last column is the class."""
     m = len(rows[0])
@@ -263,11 +258,11 @@ class TestInduce:
             induce(train)
 
     def test_empty_training_data(self):
+        # a window with zero rows cannot be built, so induce never meets one
         train = flat_table([("a", "yes")])
-        empty = empty_like(train)
-        assert empty.n == 0 and empty.records == ()
-        with pytest.raises(DataError, match="empty training data"):
-            induce(empty)
+        empty = EventSequence(train.source.schema, tuple(() for _ in train.source.columns))
+        with pytest.raises(DataError, match="shorter than window: n=0, w=1"):
+            replace(train, source=empty)
 
     def test_numeric_threshold_splits(self):
         rows = [(1, "lo"), (2, "lo"), (6, "hi"), (5, "hi")]
@@ -434,11 +429,11 @@ class TestEvaluate:
         assert evaluate(rule_set, temporalise(spec, tail)) == 1.0
 
     def test_empty_dataset(self):
-        train = flat_table([("a", "yes")])
-        empty = empty_like(train)
-        assert empty.n == 0 and empty.records == ()
-        with pytest.raises(DataError, match="empty"):
-            evaluate(induce(train), empty)
+        # nor can evaluate meet one: a held-out tail shorter than w has no window
+        train = flat_table([("a", "yes"), ("b", "yes")])
+        _, tail = split_chronological(train.source, 1)
+        with pytest.raises(DataError, match="shorter than window: n=1, w=2"):
+            temporalise(TemporalisationSpec(w=2, pos=2, d="k"), tail)
 
     def test_incompatible_columns(self):
         # c0 is constant, so induced rules must test c1, absent downstream

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -51,12 +50,6 @@ class TestSpec:
         with pytest.raises(ValueError):
             TemporalisationSpec(w=0, pos=1, d="x")
 
-    def test_preceding_following_sum(self):
-        for w in range(1, 6):
-            for pos in range(1, w + 1):
-                spec = TemporalisationSpec(w=w, pos=pos, d="x")
-                assert spec.preceding + 1 + spec.following == w
-
 
 class TestWindowMerging:
     def test_forward_position(self, four_records):
@@ -92,13 +85,6 @@ class TestWindowMerging:
         assert out.condition_columns == (("a1", 1), ("a2", 1), ("a3", 1))
         assert out.records[0] == (1, 2, 4, "true")
         assert out.records[2] == (6, 7, 8, "false")
-
-    def test_columns_must_match_decisions(self, four_records):
-        out = temporalise(TemporalisationSpec(w=3, pos=2, d="a4"), four_records)
-        with pytest.raises(DataError, match="one value per decision"):
-            replace(out, decisions=out.decisions[:-1])
-        with pytest.raises(DataError, match="condition columns"):
-            replace(out, columns=out.columns[:-1])
 
     def test_sequence_shorter_than_window(self, four_records):
         with pytest.raises(DataError, match="shorter than window"):
@@ -212,6 +198,38 @@ class TestBruteForce:
         assert out.records == expected
         assert out.decisions == tuple(record[-1] for record in expected)
         assert out.n == len(expected)
+
+
+@st.composite
+def sequences_and_discrete_decisions(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    data = random_sequence(random.Random(draw(st.integers(0, 2**32))), n, m)
+    # random_sequence makes the even-numbered attributes discrete
+    d = data.schema[2 * draw(st.integers(0, (m - 1) // 2))].name
+    return data, d
+
+
+class TestCodes:
+    @settings(max_examples=100, deadline=None)
+    @given(sequences_and_discrete_decisions())
+    def test_codes_equal_a_plain_loop_over_the_window(self, case):
+        data, d = case
+        classes = data.attribute(d).domain
+        for w in range(1, data.n + 1):
+            for pos in range(1, w + 1):
+                out = temporalise(TemporalisationSpec(w=w, pos=pos, d=d), data)
+                class_codes = [classes.index(value) for value in out.decisions]
+                assert out.class_codes() == class_codes
+                for (attr, t), column in zip(out.condition_columns, out.columns):
+                    symbols = data.attribute(attr).domain
+                    if symbols is None:
+                        symbols = sorted(set(data.columns[data.column_index(attr)]))
+                    expected = [
+                        symbols.index(value) * len(classes) + k
+                        for value, k in zip(column, class_codes)
+                    ]
+                    assert out.pair_codes(attr, t) == expected, (w, pos, attr, t)
 
 
 class TestDump:
