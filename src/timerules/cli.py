@@ -15,11 +15,13 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args
 
-from .dataset import DataError, EventSequence, load_csv
+from .dataset import DataError, EventSequence, HeaderMode, load_csv
 from .temporalise import TemporalisationSpec, temporalise
-from .verdict import RunSpec, run_timers
+from .verdict import ACCURACY_MODES, INTERVAL_METHODS, PREFERENCES, RunSpec, run_timers
 from .worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
 
 USAGE_ERROR = 2
@@ -74,31 +76,31 @@ def _add_analyze(subparsers) -> None:
         action="store_true",
         help="run the analysis once per attribute",
     )
-    p.add_argument("--min-window", type=int, default=2, metavar="A")
-    p.add_argument("--max-window", type=int, default=5, metavar="B")
-    p.add_argument("--threshold", type=float, default=0.5, help="minimum accuracy")
-    p.add_argument("--confidence", type=float, default=0.90, help="interval level")
+    defaults = {field.name: field.default for field in fields(RunSpec)}
+    p.add_argument("--min-window", type=int, default=defaults["alpha"], metavar="A")
+    p.add_argument("--max-window", type=int, default=defaults["beta"], metavar="B")
+    p.add_argument("--threshold", type=float, default=defaults["ac_th"], help="minimum accuracy")
+    p.add_argument("--confidence", type=float, default=defaults["cl"], help="interval level")
     p.add_argument(
         "--test-count",
         type=int,
         default=None,
         help="held-out tail size (default: one fifth of the records)",
     )
+    # RunSpec spells a preference with "_", the flag with "-"
     p.add_argument(
         "--preference",
-        choices=("higher-accuracy", "simpler-method"),
-        default="higher-accuracy",
+        choices=[name.replace("_", "-") for name in PREFERENCES],
+        default=defaults["preference"].replace("_", "-"),
     )
     p.add_argument(
-        "--accuracy-mode", choices=("predictive", "training"), default="predictive"
+        "--accuracy-mode", choices=ACCURACY_MODES, default=defaults["accuracy_mode"]
     )
     p.add_argument(
-        "--interval-method", choices=("normal", "wilson"), default="normal"
+        "--interval-method", choices=INTERVAL_METHODS, default=defaults["interval_method"]
     )
     p.add_argument(
-        "--header-mode",
-        choices=("first-row-names", "positional"),
-        default="first-row-names",
+        "--header-mode", choices=get_args(HeaderMode), default="first-row-names"
     )
     p.add_argument(
         "--out",
@@ -138,9 +140,7 @@ def _add_dump(subparsers) -> None:
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--position", type=int, required=True)
     p.add_argument(
-        "--header-mode",
-        choices=("first-row-names", "positional"),
-        default="first-row-names",
+        "--header-mode", choices=get_args(HeaderMode), default="first-row-names"
     )
     p.add_argument("--out", required=True)
 

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 MISSING_TOKEN = "?"
 
 AttributeKind = Literal["discrete", "numeric"]
 HeaderMode = Literal["first-row-names", "positional"]
 
-_NUMBER_TYPES = {int, float, type(None)}
+_INT_TYPES = {int, type(None)}
 _CODE_TYPES = [(1 << 8 * array(t).itemsize, t) for t in "BHIQ"]
 
 
@@ -199,13 +199,19 @@ class EventSequence:
 def _first_bad_row(attribute: AttributeSchema, column: Sequence[object]) -> int | None:
     """Index of the first cell of `column` that `attribute` cannot hold.
 
-    A numeric cell is an int or a float (bools included), a discrete one
-    a symbol of the domain; either kind may hold None.
+    A numeric cell is an int or a finite float (bools included), a
+    discrete one a symbol of the domain; either kind may hold None. No
+    threshold can order `nan` or `inf`, and `math.isfinite` overflows on
+    an int beyond float range, so only floats are tested for it.
     """
     if attribute.kind == "numeric":
-        if set(map(type, column)) <= _NUMBER_TYPES:
+        if set(map(type, column)) <= _INT_TYPES:
             return None
-        fits = [value is None or isinstance(value, (int, float)) for value in column]
+        fits = [
+            value is None
+            or (math.isfinite(value) if isinstance(value, float) else isinstance(value, int))
+            for value in column
+        ]
     else:
         try:
             if {None, *attribute.domain}.issuperset(column):
@@ -277,7 +283,7 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
     `inf`: no threshold can order them. Row order is preserved as the
     temporal order.
     """
-    if header_mode not in ("first-row-names", "positional"):
+    if header_mode not in get_args(HeaderMode):
         raise ValueError(f"unknown header_mode {header_mode!r}")
     with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle)]

@@ -3,10 +3,12 @@
 The learner grows a tree over a temporalised dataset: discrete columns
 split multiway on their full domain (value-absent branches become leaves
 carrying the node majority), numeric columns split between consecutive
-observed values, at their midpoint when it falls between them. The tree
-is the rule set: its root-to-leaf paths, read off on demand, are the
-rules, all sharing one decision column. A record is classified by the
-one leaf it reaches; a symbol no branch covers sends it to the default class.
+observed values, at their midpoint when it falls between them. Either
+kind is one split node, a tested column with a child per outcome, so
+only scoring a split and routing a row tell the kinds apart. The tree is
+the rule set: its root-to-leaf paths, read off on demand, are the rules,
+all sharing one decision column. A record is classified by the one leaf
+it reaches; a symbol no branch covers sends it to the default class.
 
 The learner reads the training window's column views and asks the
 window for its codes: each row's class code and, per column, its
@@ -119,9 +121,10 @@ class RuleSet:
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
-        out: list[Rule] = []
-        _extract_rules(self.tree, [], out, self.decision_attribute, self.decision_time)
-        return tuple(out)
+        return tuple(
+            Rule(conditions, self.decision_attribute, self.decision_time, value)
+            for conditions, value in _extract_rules(self.tree)
+        )
 
     @cached_property
     def _shape(self) -> tuple[int, frozenset[tuple[str, int]]]:
@@ -134,10 +137,7 @@ class RuleSet:
                 leaves += 1
                 continue
             tested.add((node.attribute, node.time))
-            if isinstance(node, _NumericSplit):
-                stack += (node.low, node.high)
-            else:
-                stack += node.branches.values()
+            stack += node.branches.values()
         return leaves, frozenset(tested)
 
     @property
@@ -152,25 +152,20 @@ class RuleSet:
         return "\n".join(rule.render() for rule in self.rules)
 
 
-@dataclass
+# slotted to keep trees small: a robot walk's largest hold ~8,600 nodes
+@dataclass(slots=True)
 class _Leaf:
     value: object
 
 
-@dataclass
-class _DiscreteSplit:
+@dataclass(slots=True)
+class _Split:
     attribute: str
     time: int
-    branches: dict  # symbol -> node, covering the source domain
-
-
-@dataclass
-class _NumericSplit:
-    attribute: str
-    time: int
-    threshold: float
-    low: object
-    high: object
+    threshold: float | None  # None for a discrete split
+    # discrete: every domain symbol -> child, in domain order;
+    # numeric: {False: low, True: high}, keyed by `value > threshold`
+    branches: dict
 
 
 def _entropy(counts: Iterable[int], total: int) -> float:
@@ -276,19 +271,20 @@ class _TreeBuilder:
             ordered = sorted(indices, key=values.__getitem__)
             low, high = ordered[:cut], ordered[cut:]
             below, above = values[low[-1]], values[high[0]]
-            threshold = (below + above) / 2
+            try:
+                threshold = (below + above) / 2
+            except OverflowError:
+                threshold = below
             if not below <= threshold < above:
                 threshold = below
-            low_counts, high_counts = children
             # a side's counts are in ascending-value order, not its rows'
             # first-appearance order, so an impure side counts them again
-            return _NumericSplit(
-                column.attribute,
-                column.time,
-                threshold,
-                self._pure_leaf(low_counts) or self.build(low, live),
-                self._pure_leaf(high_counts) or self.build(high, live),
-            )
+            low_counts, high_counts = children
+            branches = {
+                False: self._pure_leaf(low_counts) or self.build(low, live),
+                True: self._pure_leaf(high_counts) or self.build(high, live),
+            }
+            return _Split(column.attribute, column.time, threshold, branches)
         # each child holds one value of the split column
         live = [c for c in live if c is not column]
         domain = column.domain
@@ -307,7 +303,7 @@ class _TreeBuilder:
                 if group is None
                 else self._pure_leaf(group) or self.build(rows[symbol], live, group)
             )
-        return _DiscreteSplit(column.attribute, column.time, branches)
+        return _Split(column.attribute, column.time, None, branches)
 
     def _pure_leaf(self, counts: dict[int, int]) -> _Leaf | None:
         """The leaf of the one class `counts` hold, or None if they hold more."""
@@ -396,44 +392,38 @@ def _leaves(node, columns: Mapping, indices: list[int]):
         yield node.value, indices
         return
     column = columns[node.attribute, node.time]
-    if isinstance(node, _NumericSplit):
-        threshold = node.threshold
-        low: list[int] = []
-        high: list[int] = []
-        for i in indices:
-            (low if column[i] <= threshold else high).append(i)
-        parts = zip((node.low, node.high), (low, high))
-    else:
+    threshold = node.threshold
+    if threshold is None:
         groups: dict = {symbol: [] for symbol in node.branches}
         stray: list[int] = []
         for i in indices:
             groups.get(column[i], stray).append(i)
         if stray:
             yield None, stray
-        parts = zip(node.branches.values(), groups.values())
-    for child, rows in parts:
+        parts = groups.values()
+    else:
+        low: list[int] = []
+        high: list[int] = []
+        for i in indices:
+            (low if column[i] <= threshold else high).append(i)
+        parts = (low, high)
+    for child, rows in zip(node.branches.values(), parts):
         if rows:
             yield from _leaves(child, columns, rows)
 
 
-def _extract_rules(node, path, out, decision_attribute, decision_time):
+def _extract_rules(node, path=()):
+    """Yield (conditions, leaf value) per leaf below `node`, in branch order."""
     if isinstance(node, _Leaf):
-        out.append(
-            Rule(tuple(path), decision_attribute, decision_time, node.value)
-        )
+        yield path, node.value
         return
-    if isinstance(node, _DiscreteSplit):
-        for symbol, child in node.branches.items():
-            path.append(Condition(node.attribute, node.time, "=", symbol))
-            _extract_rules(child, path, out, decision_attribute, decision_time)
-            path.pop()
-        return
-    path.append(Condition(node.attribute, node.time, "<=", node.threshold))
-    _extract_rules(node.low, path, out, decision_attribute, decision_time)
-    path.pop()
-    path.append(Condition(node.attribute, node.time, ">", node.threshold))
-    _extract_rules(node.high, path, out, decision_attribute, decision_time)
-    path.pop()
+    for key, child in node.branches.items():
+        if node.threshold is None:
+            condition = Condition(node.attribute, node.time, "=", key)
+        else:
+            op = ">" if key else "<="
+            condition = Condition(node.attribute, node.time, op, node.threshold)
+        yield from _extract_rules(child, (*path, condition))
 
 
 def induce(train: TemporalisedDataset) -> RuleSet:

@@ -43,16 +43,18 @@ def first_bad_record(schema, rows) -> str | None:
     """The error naming the first cell of `rows` its attribute cannot hold.
 
     Scans row by row, and within a row column by column: a numeric cell
-    must be an int or a float (bools included), a discrete cell equal to
-    a symbol of the domain, and None fits either kind. None when every
-    cell fits.
+    must be an int or a finite float (bools included), a discrete cell
+    equal to a symbol of the domain, and None fits either kind. None when
+    every cell fits.
     """
     for i, record in enumerate(rows):
         for attribute, value in zip(schema, record):
             if value is None:
                 continue
             if attribute.kind == "numeric":
-                if not isinstance(value, (int, float)):
+                # nan is the one value unequal to itself
+                finite = value == value and value not in (math.inf, -math.inf)
+                if not (isinstance(value, (int, float)) and finite):
                     return (
                         f"record {i + 1}: {attribute.name} expects a number, "
                         f"got {value!r}"

@@ -5,8 +5,9 @@ import pytest
 
 import timerules.cli
 import timerules.verdict
-from timerules.cli import main, worker_count
+from timerules.cli import build_parser, main, worker_count
 from timerules.dataset import load_csv
+from timerules.verdict import RunSpec
 
 
 def run(capsys, *argv):
@@ -155,6 +156,17 @@ class TestGenerate:
 
 
 class TestAnalyze:
+    def test_flag_defaults_are_the_run_spec_defaults(self):
+        args = build_parser().parse_args(["analyze", "--data", "d.csv", "--decision", "c"])
+        spec = RunSpec(d="c")
+        assert (args.min_window, args.max_window) == (spec.alpha, spec.beta)
+        assert (args.threshold, args.confidence) == (spec.ac_th, spec.cl)
+        assert args.preference.replace("-", "_") == spec.preference
+        assert (args.accuracy_mode, args.interval_method) == (
+            spec.accuracy_mode,
+            spec.interval_method,
+        )
+
     def test_full_sweep_flags(self, tmp_path, capsys):
         out = tmp_path / "robot.csv"
         run(capsys, "generate", "robot", "--steps", "3000", "--seed", "42",

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -20,10 +21,11 @@ from tables import from_rows
 FOUR_RECORDS = "1,2,4,true\n2,3,5,true\n6,7,8,false\n5,2,3,true\n"
 
 
-NUMBER_CELLS = (0, 1, -3, 2.5, True, False, None)
+NUMBER_CELLS = (0, 1, -3, 2.5, True, False, None, 10**400)
 SYMBOL_CELLS = ("a", "b", None)
-# cells their column cannot hold: a wrong type, an out-of-domain symbol, an unhashable value
-BAD_NUMBER_CELLS = ("1", "z", ["a"])
+# cells their column cannot hold: a wrong type, an out-of-domain symbol, an unhashable
+# value, a float no threshold can order
+BAD_NUMBER_CELLS = ("1", "z", ["a"], math.nan, math.inf, -math.inf)
 BAD_SYMBOL_CELLS = ("z", 1, ["a"])
 
 
@@ -282,6 +284,10 @@ class TestEventSequence:
             (((1, "a"), (2, "z"), ("3", "b")), "record 2: 'z' is outside the domain of y"),
             # two bad cells in one row: the first column is named
             (((1, "a"), ("2", "c")), "record 2: x expects a number, got '2'"),
+            # no threshold orders a non-finite float; an int beyond float range fits
+            (((1, "a"), (math.nan, "b")), "record 2: x expects a number, got nan"),
+            (((10**400, "a"), (math.inf, "b")), "record 2: x expects a number, got inf"),
+            (((1, "a"), (2.5, "b"), (-math.inf, "a")), "record 3: x expects a number, got -inf"),
         ],
     )
     def test_first_bad_record_is_named(self, records, message):
@@ -312,6 +318,12 @@ class TestEventSequence:
     def test_bools_count_as_numbers(self):
         data = EventSequence(schema=(AttributeSchema("x", "numeric"),), columns=((True, 2),))
         assert data.records == ((True,), (2,))
+
+    def test_ints_beyond_float_range_count_as_numbers(self):
+        huge = 10**400
+        for column in ((huge, -huge), (huge, 2.5, None)):
+            data = EventSequence(schema=(AttributeSchema("x", "numeric"),), columns=(column,))
+            assert data.columns == (column,)
 
     def test_columns_transpose_the_records(self):
         schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))

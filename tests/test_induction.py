@@ -201,6 +201,17 @@ class TestPureChildren:
                 assert evaluate(rule_set, train) == 1.0
                 assert max(low) <= rule_set.tree.threshold < min(high)
 
+    def test_a_midpoint_beyond_float_range_falls_back_to_the_low_value(self):
+        # 5 + 10**400 cannot be halved into a float, so the threshold is 5
+        # itself, and the row equal to it must route to the low side
+        rows = [(5, "A"), (10**400, "B"), (3 * 10**400, "B")]
+        train = flat_table(rows, kinds=["numeric", "discrete"])
+        rule_set = induce(train)
+        assert rule_set.size == 2
+        assert evaluate(rule_set, train) == 1.0
+        assert 5 <= rule_set.tree.threshold < 10**400
+        assert rule_set.render() == "IF c0@t1<=5 THEN k@t1=A\nIF c0@t1>5 THEN k@t1=B"
+
     @settings(
         max_examples=150,
         deadline=None,
