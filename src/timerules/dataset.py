@@ -8,16 +8,20 @@ An `EventSequence` stores, validates and slices its columns, never
 rows, and caches the small-int codes the tree learner reads: per
 attribute, each value's code (its domain index, or its rank among the
 sequence's sorted distinct numbers), and per (decision, attribute, row
-offset), the pair codes `value_code * C + class_code`. Every window of
-a sweep slices the same cached codes, which live as long as the
-sequence does.
+offset), the pair codes `value_code * C + class_code`. It also caches
+how often each code occurs in each of those arrays, so a window's counts
+are the whole array's minus its few excluded rows. Every window of a
+sweep slices the same cached codes and counts, which live as long as
+the sequence does.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
@@ -137,6 +141,13 @@ class EventSequence:
             )
         return codes
 
+    def value_counts(self, name: str, start: int, stop: int) -> dict[int, int]:
+        """How often each code of `value_codes(name)[start:stop]` occurs.
+
+        Keys are in their first-appearance order within the slice.
+        """
+        return self._slice_counts(name, self.value_codes(name), start, stop)
+
     def pair_codes(
         self, decision: str, attribute: str, offset: int, start: int, stop: int
     ) -> list[int]:
@@ -147,6 +158,22 @@ class EventSequence:
         every decision row that has such a partner are built once per
         (decision, attribute, offset) and reused by every slice.
         """
+        pairs, first = self._pairs(decision, attribute, offset)
+        return pairs[start - first : stop - first].tolist()
+
+    def pair_counts(
+        self, decision: str, attribute: str, offset: int, start: int, stop: int
+    ) -> dict[int, int]:
+        """How often each code `pair_codes` gives for the same arguments occurs.
+
+        Keys are in their first-appearance order within the slice.
+        """
+        pairs, first = self._pairs(decision, attribute, offset)
+        key = (decision, attribute, offset)
+        return self._slice_counts(key, pairs, start - first, stop - first)
+
+    def _pairs(self, decision: str, attribute: str, offset: int) -> tuple[array, int]:
+        """The cached pair codes of (decision, attribute, offset) and their first decision row."""
         first = max(0, -offset)
         key = (decision, attribute, offset)
         pairs = self._codes.get(key)
@@ -163,11 +190,41 @@ class EventSequence:
                 ),
                 (max(values, default=0) + 1) * width,
             )
-        return pairs[start - first : stop - first].tolist()
+        return pairs, first
+
+    def _slice_counts(self, key, codes: array, start: int, stop: int) -> dict[int, int]:
+        """`Counter(codes[start:stop])`, keys in the slice's first-appearance order.
+
+        `codes` is the array cached under `key`. The whole array is
+        counted once; a slice subtracts the rows it excludes, which in a
+        sweep are at most w - 1 at either end. Keys keep the whole
+        array's order, except that a key the head holds moves to its
+        first row in the slice, after the keys seen in the slice before it.
+        """
+        whole = self._counts.get(key)
+        if whole is None:
+            whole = self._counts[key] = Counter(codes)
+        counts = dict(whole)
+        head = codes[:start]
+        for code in head:
+            counts[code] -= 1
+        for code in codes[stop:]:
+            counts[code] -= 1
+        moved = set(head)
+        order = [code for code in whole if code not in moved]
+        firsts = sorted((codes.index(c, start, stop), c) for c in moved if counts[c])
+        for at, code in firsts:
+            order.insert(len(set(codes[start:at])), code)
+        return {code: counts[code] for code in order if counts[code]}
 
     @cached_property
     def _codes(self) -> dict[str | tuple[str, str, int], array]:
         """Value codes by attribute name, pair codes by (decision, attribute, offset)."""
+        return {}
+
+    @cached_property
+    def _counts(self) -> dict[str | tuple[str, str, int], Counter]:
+        """Whole-array counts of each array `_codes` holds, under the same key."""
         return {}
 
     @property
@@ -249,6 +306,19 @@ def _parse_number(token: str) -> int | float | None:
         return None
 
 
+def _not_finite(token: str) -> str:
+    """Why a token that reads as a non-finite number cannot be held."""
+    digits = token.lstrip("+-")
+    if digits.isdigit():
+        # int() refuses integer literals over Python's digit limit, and
+        # float() then reads them as inf
+        return (
+            f"an integer of {len(digits)} digits exceeds Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for reading an integer"
+        )
+    return f"{token!r} is not a finite number"
+
+
 def _infer_column(
     name: str, tokens: Sequence[str], where: str, first_line: int
 ) -> tuple[AttributeSchema, tuple[object, ...]]:
@@ -265,7 +335,7 @@ def _infer_column(
                 if isinstance(value, float) and not math.isfinite(value):
                     raise DataError(
                         f"{where}: row {first_line + i}, column {name!r}: "
-                        f"{tokens[i]!r} is not a finite number"
+                        + _not_finite(tokens[i])
                     )
             return AttributeSchema(name, "numeric"), tuple(numbers)
     domain = tuple(dict.fromkeys(observed))
@@ -319,7 +389,11 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
 
 
 def split_chronological(data: EventSequence, test_count: int) -> tuple[EventSequence, EventSequence]:
-    """Split into (train, test): the test set is the chronological tail."""
+    """Split into (train, test): the test set is the chronological tail.
+
+    Each part's `first_missing_row` follows from the whole sequence's
+    where it can, so neither part scans its columns for `?` again.
+    """
     if test_count < 0:
         raise DataError(f"test_count must be non-negative, got {test_count}")
     if test_count >= data.n:
@@ -329,6 +403,14 @@ def split_chronological(data: EventSequence, test_count: int) -> tuple[EventSequ
     cut = data.n - test_count
     train = EventSequence(data.schema, tuple(c[:cut] for c in data.columns))
     test = EventSequence(data.schema, tuple(c[cut:] for c in data.columns))
+    # each part takes its share of the whole's first missing row instead of
+    # scanning itself; only a test part after a missing train row must scan
+    row = data.first_missing_row
+    if row is None or row >= cut:
+        vars(train)["first_missing_row"] = None
+        vars(test)["first_missing_row"] = None if row is None else row - cut
+    else:
+        vars(train)["first_missing_row"] = row
     return train, test
 
 

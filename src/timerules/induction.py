@@ -25,7 +25,8 @@ child whose counts hold one class becomes a leaf at once, with no row
 list and no recount. A discrete split groups only its impure children's
 rows, and each inherits its counts, which are in its own
 first-appearance order. The root, the only node holding every row,
-counts whole columns.
+reads its window's counts, which the window derives from the counts of
+its source's whole code arrays.
 
 A node scans only its live columns: those with at least two distinct
 values on its rows. A column that is constant on a node is constant on
@@ -193,14 +194,11 @@ class _Column:
     pairs: list[int]
 
 
-def _count(codes: Sequence[int], indices: list[int] | None) -> dict[int, int]:
+def _count(codes: Sequence[int], indices: list[int]) -> dict[int, int]:
     """How often each code occurs among `codes[i]` for i in `indices`.
 
-    `indices` None counts all of `codes`. Keys are in first-appearance
-    order, whichever way the node is counted.
+    Keys are in first-appearance order, whichever way the node is counted.
     """
-    if indices is None:
-        return Counter(codes)
     if len(indices) > _SMALL_NODE:
         return Counter(map(codes.__getitem__, indices))
     counts: dict[int, int] = {}
@@ -215,14 +213,15 @@ class _TreeBuilder:
 
     Classes are coded by their index in the decision domain, which is
     also the majority tie-break order. The class and pair codes come from
-    the window; a node counts its rows' pair codes in one pass per live
-    column.
+    the window; the root reads its window's pair counts, and any other
+    node counts its rows' pair codes in one pass per live column.
     """
 
     def __init__(self, train: TemporalisedDataset):
+        self.train = train
         self.classes = train.source.attribute(train.provenance.d).domain
         self.class_codes = train.class_codes()
-        # every row in order: the root's rows, which count whole columns
+        # every row in order: the root's rows, whose counts the window gives
         self.rows = list(range(train.n))
         columns = []
         for (attr, time), values in zip(train.condition_columns, train.columns):
@@ -330,13 +329,17 @@ class _TreeBuilder:
         """
         total = len(indices)
         width = len(self.classes)
-        rows = None if indices is self.rows else indices
+        root = indices is self.rows
         best = None
         best_key = (-1, -math.inf)  # (positive-gain flag, gain ratio)
         live = []
         for column in columns:
             by_value: dict = {}
-            for pair, c in _count(column.pairs, rows).items():
+            if root:
+                pair_counts = self.train.pair_counts(column.attribute, column.time)
+            else:
+                pair_counts = _count(column.pairs, indices)
+            for pair, c in pair_counts.items():
                 value, klass = divmod(pair, width)
                 group = by_value.get(value)
                 if group is None:
@@ -433,7 +436,7 @@ def induce(train: TemporalisedDataset) -> RuleSet:
         raise DataError("classification requires discrete decision")
 
     builder = _TreeBuilder(train)
-    counts = _count(builder.class_codes, None)
+    counts = train.class_counts()
     return RuleSet(
         tree=builder._pure_leaf(counts) or builder.build(builder.rows, builder.columns, counts),
         default_class=builder.majority(counts),

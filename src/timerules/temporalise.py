@@ -16,7 +16,9 @@ attribute a at window time t is the slice of a's source column starting
 at source row t-1, so row i of it is source row i+t-1, and the learner's
 value and pair codes are the same slices of the codes the source caches.
 Every (w, pos) of a sweep therefore slices the same source columns and
-the same codes, and no flat record is built row by row.
+the same codes, and no flat record is built row by row. A window's
+class and pair counts come from the source's counts of those whole
+code arrays, less the few rows the window leaves out.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ class TemporalisedDataset:
     length `n`: row i of column (attribute, t) is source row i+t-1.
     `records` joins them row-wise, decision value last. `source`
     resolves a column's kind and domain; `class_codes` and `pair_codes`
-    are the window's slices of the codes it caches.
+    are the window's slices of the codes it caches, and `class_counts`
+    and `pair_counts` those slices' counts, derived from the whole
+    arrays' counts it caches.
     """
 
     provenance: TemporalisationSpec
@@ -119,10 +123,20 @@ class TemporalisedDataset:
         d, pos = self.decision_column
         return self._rows(self.source.value_codes(d), pos).tolist()
 
+    def class_counts(self) -> dict[int, int]:
+        """How often each class code occurs, in `class_codes` first-appearance order."""
+        d, pos = self.decision_column
+        return self.source.value_counts(d, pos - 1, pos - 1 + self.n)
+
     def pair_codes(self, attribute: str, time: int) -> list[int]:
         """`value_code * C + class_code` of each row, for column (attribute, time)."""
         d, pos = self.decision_column
         return self.source.pair_codes(d, attribute, time - pos, pos - 1, pos - 1 + self.n)
+
+    def pair_counts(self, attribute: str, time: int) -> dict[int, int]:
+        """How often each of `pair_codes(attribute, time)` occurs, in first-appearance order."""
+        d, pos = self.decision_column
+        return self.source.pair_counts(d, attribute, time - pos, pos - 1, pos - 1 + self.n)
 
     def to_csv(self, path: str | Path) -> None:
         """Debug dump with `attr@t<k>` headers, decision column last."""

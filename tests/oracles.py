@@ -114,6 +114,33 @@ def first_match(rules, default, record) -> object:
     return default
 
 
+def window_code_counts(window) -> tuple[list, dict]:
+    """The (code, count) pairs of a window's class codes and of each column's pair codes.
+
+    Codes are worked out afresh from `window.records`: a class is coded
+    by its index in the decision domain, a discrete value by its index
+    in its domain, a numeric value by its rank among the source
+    sequence's sorted distinct values, and a pair as `value * C + class`
+    for C classes. Each list is counted with `Counter`, so pairs come in
+    first-appearance order within the window. Returns the class counts
+    and a dict from (attribute, time) to that column's pair counts.
+    """
+    source = window.source
+    classes = source.attribute(window.decision_column[0]).domain
+    class_codes = [classes.index(record[-1]) for record in window.records]
+    pairs = {}
+    for k, (attribute, time) in enumerate(window.condition_columns):
+        symbols = source.attribute(attribute).domain
+        if symbols is None:
+            symbols = sorted(set(source.columns[source.column_index(attribute)]))
+        codes = [
+            symbols.index(record[k]) * len(classes) + c
+            for record, c in zip(window.records, class_codes)
+        ]
+        pairs[attribute, time] = list(Counter(codes).items())
+    return list(Counter(class_codes).items()), pairs
+
+
 # --- reference tree learner -------------------------------------------------
 #
 # A frozen, loop-based copy of the gain-ratio learner as it stood before
@@ -240,7 +267,10 @@ class ReferenceTree:
                         best_key = key
                         # C4.5 falls back to an observed value (Quinlan 1993);
                         # a float midpoint can round onto a side or overflow
-                        threshold = (v_prev + v_here) / 2
+                        try:
+                            threshold = (v_prev + v_here) / 2
+                        except OverflowError:
+                            threshold = v_prev
                         if not v_prev <= threshold < v_here:
                             threshold = v_prev
                         best = {

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -135,6 +136,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 1, column 'a2'"):
             load_csv(path, header_mode="positional")
 
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_over_long_integer_names_the_digit_limit(self, tmp_path, sign):
+        # int() refuses a literal over the limit, and float() reads it as inf
+        limit = sys.get_int_max_str_digits()
+        path = write(tmp_path, f"x,y\n1,a\n{sign}{'1' * (limit + 700)},b\n")
+        with pytest.raises(DataError) as caught:
+            load_csv(path)
+        message = str(caught.value)
+        assert "row 3, column 'x'" in message
+        assert f"limit of {limit} digits" in message
+        assert "1" * 20 not in message
+
     def test_python_only_number_spellings_are_symbols(self, tmp_path):
         # int() reads "1_0" as 10 and "٣" (Arabic-Indic three) as 3
         data = load_csv(write(tmp_path, "d\n10\n1_0\n?\n3\n٣\n1_0.5\n"))
@@ -229,6 +242,23 @@ class TestSplit:
             cut = rng.randint(0, n - 1)
             train, test = split_chronological(data, cut)
             assert train.records + test.records == data.records
+
+    def test_parts_take_their_share_of_the_first_missing_row(self):
+        # a `?` in the head, the tail, either side of the cut, or none;
+        # a sequence built afresh over a part's columns scans them itself
+        n = 6
+        for missing in [(), *[(i,) for i in range(n)], (0, n - 1), (1, 4)]:
+            values = tuple(None if i in missing else i for i in range(n))
+            data = EventSequence(self.make(n).schema, (values,))
+            for test_count in range(n):
+                train, test = split_chronological(data, test_count)
+                if not missing:
+                    # neither part of a sequence without `?` scans itself
+                    assert "first_missing_row" in vars(train)
+                    assert "first_missing_row" in vars(test)
+                for part in (train, test):
+                    fresh = EventSequence(part.schema, part.columns)
+                    assert part.first_missing_row == fresh.first_missing_row
 
 
 class TestEventSequence:

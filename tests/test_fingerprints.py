@@ -1,10 +1,11 @@
-"""Report bytes of every benchmark workload at seed 0 against its fingerprint.
+"""Report bytes of every benchmark workload at seeds 0-2 against its fingerprint.
 
-Each workload of `benchmarks/workloads.py` is generated for seed 0 and
+Each workload of `benchmarks/workloads.py` is generated for each seed and
 analysed through `timerules.cli.main` with one worker. The SHA-256 of
 every JSON report must equal the one recorded in
 `benchmarks/fingerprints.json`, which is only read here: a change that
-alters any report byte fails this test before the benchmark runs.
+alters any report byte fails this test before the benchmark runs; more
+than one seed catches a change of summation order that one input hides.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ import pytest
 from timerules.cli import main
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
-SEED = 0
+SEEDS = (0, 1, 2)
 
 
 def _load_workloads():
@@ -37,11 +38,12 @@ WORKLOADS = _load_workloads()
 RECORDED = json.loads((BENCHMARKS / "fingerprints.json").read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_reports_match_recorded_fingerprint(name, tmp_path, monkeypatch):
+def test_reports_match_recorded_fingerprint(name, seed, tmp_path, monkeypatch):
     workload = WORKLOADS[name]
     csv_path, out_base = tmp_path / "input.csv", tmp_path / "report"
-    workload.generate(SEED, csv_path)
+    workload.generate(seed, csv_path)
     monkeypatch.setenv("TIMERULES_MAX_WORKERS", "1")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(workload.argv(csv_path, out_base)) == 0
@@ -49,4 +51,4 @@ def test_reports_match_recorded_fingerprint(name, tmp_path, monkeypatch):
         d: hashlib.sha256(path.read_bytes()).hexdigest()
         for d, path in workload.report_paths(out_base).items()
     }
-    assert digests == RECORDED[name][str(SEED)]["reports_sha256"]
+    assert digests == RECORDED[name][str(seed)]["reports_sha256"]

@@ -4,7 +4,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from timerules.dataset import (
@@ -27,7 +27,13 @@ from timerules.semantics import classify_rule_set, classify_times
 from timerules.temporalise import TemporalisationSpec, column_name, temporalise
 from timerules.worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
 
-from oracles import ReferenceTree, best_tree_correct_count, condition_holds, first_match
+from oracles import (
+    ReferenceTree,
+    best_tree_correct_count,
+    condition_holds,
+    first_match,
+    window_code_counts,
+)
 from tables import from_rows
 
 
@@ -139,6 +145,29 @@ def consistent_numeric_tables(draw):
     return flat_table([(v, label[v]) for v in values], kinds=["numeric", "discrete"])
 
 
+@st.composite
+def short_sequences(draw):
+    """1-12 records: a discrete decision c0, then up to two more columns.
+
+    Discrete columns have 2-4 symbols, numeric ones small ints, so a code
+    often occurs only in the few rows a window leaves out at either end.
+    """
+    n = draw(st.integers(1, 12))
+    extra = draw(st.lists(st.sampled_from(["discrete", "numeric"]), max_size=2))
+    kinds = ["discrete", *extra]
+    schema, columns = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "discrete":
+            domain = tuple("pqrs"[: draw(st.integers(2, 4))])
+            schema.append(AttributeSchema(f"c{j}", "discrete", domain))
+            cells = st.sampled_from(domain)
+        else:
+            schema.append(AttributeSchema(f"c{j}", "numeric"))
+            cells = st.integers(-3, 3)
+        columns.append(tuple(draw(st.lists(cells, min_size=n, max_size=n))))
+    return EventSequence(tuple(schema), tuple(columns))
+
+
 class TestCounting:
     def test_counts_in_first_appearance_order_on_both_sides_of_the_cutoff(self):
         # every entropy sum follows the count's key order, so both the
@@ -152,13 +181,28 @@ class TestCounting:
                 expected = [(k, sum(codes[i] == k for i in indices)) for k in keys]
                 assert list(_count(codes, indices).items()) == expected
 
-    def test_whole_column_counts_in_first_appearance_order(self):
-        # only the root holds every row; it counts the column itself
-        rng = random.Random(12)
-        for size in (1, 2, _SMALL_NODE - 1, _SMALL_NODE, _SMALL_NODE + 1, 400):
-            codes = [rng.randrange(12) for _ in range(size)]
-            expected = [(k, codes.count(k)) for k in dict.fromkeys(codes)]
-            assert list(_count(codes, None).items()) == expected
+    @settings(max_examples=200, deadline=None)
+    @given(data=short_sequences())
+    @example(data=from_rows(
+        # q occurs only in the head, s only in the tail, r in both and between
+        (
+            AttributeSchema("c0", "discrete", ("p", "q", "r", "s")),
+            AttributeSchema("c1", "numeric"),
+        ),
+        [("q", 9), ("r", 0), ("p", 1), ("r", 1), ("p", 0), ("r", -2), ("s", 7)],
+    ))
+    def test_whole_column_counts_in_first_appearance_order(self, data):
+        # the root holds every row of its window and reads the window's
+        # counts, which come from the whole source arrays' counts less the
+        # rows the window leaves out; every window shares those counts
+        for w in range(1, min(5, data.n) + 1):
+            for pos in range(1, w + 1):
+                window = temporalise(TemporalisationSpec(w=w, pos=pos, d="c0"), data)
+                classes, pairs = window_code_counts(window)
+                assert list(window.class_counts().items()) == classes, (w, pos)
+                for column in window.condition_columns:
+                    counts = window.pair_counts(*column)
+                    assert list(counts.items()) == pairs[column], (w, pos, column)
 
 
 def spy_build():
@@ -210,7 +254,7 @@ class TestPureChildren:
         assert rule_set.size == 2
         assert evaluate(rule_set, train) == 1.0
         assert 5 <= rule_set.tree.threshold < 10**400
-        assert rule_set.render() == "IF c0@t1<=5 THEN k@t1=A\nIF c0@t1>5 THEN k@t1=B"
+        assert rule_set.render() == "\n".join(ReferenceTree(train).rule_lines())
 
     @settings(
         max_examples=150,
