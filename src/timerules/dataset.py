@@ -5,14 +5,15 @@ notion of time. A cell holding the reserved token "?" is accepted at load
 time but poisons its record for any downstream analysis step.
 
 An `EventSequence` stores, validates and slices its columns, never
-rows, and caches the small-int codes the tree learner reads: per
-attribute, each value's code (its domain index, or its rank among the
-sequence's sorted distinct numbers), and per (decision, attribute, row
-offset), the pair codes `value_code * C + class_code`. It also caches
-how often each code occurs in each of those arrays, so a window's counts
-are the whole array's minus its few excluded rows. Every window of a
-sweep slices the same cached codes and counts, which live as long as
-the sequence does.
+rows, and caches the small-int codes the tree learner reads, through
+one pair of methods: `codes(key)` and `counts(key, start, stop)`. An
+attribute name keys each value's code (its domain index, or its rank
+among the sequence's sorted distinct numbers), and a (decision,
+attribute, row offset) key the pair codes `value_code * C +
+class_code`. How often each code occurs in a whole array is cached
+too, so a slice's counts are the whole array's minus its few excluded
+rows. Every window of a sweep slices the same cached codes and counts,
+which live as long as the sequence does.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ HeaderMode = Literal["first-row-names", "positional"]
 
 _INT_TYPES = {int, type(None)}
 _CODE_TYPES = [(1 << 8 * array(t).itemsize, t) for t in "BHIQ"]
+
+# an attribute name, or (decision, attribute, row offset) for pair codes
+CodeKey = str | tuple[str, str, int]
 
 
 def _code_array(codes: Iterable[int], count: int) -> array:
@@ -82,8 +86,9 @@ class EventSequence:
 
     def __post_init__(self) -> None:
         names = [a.name for a in self.schema]
-        if len(set(names)) != len(names):
-            raise DataError("attribute names must be unique")
+        repeated = [name for k, name in enumerate(names) if name in names[:k]]
+        if repeated:
+            raise DataError(f"attribute names must be unique, but {repeated[0]!r} repeats")
         if len(self.columns) != self.m:
             raise DataError(
                 f"expected {self.m} columns, one per attribute, got {len(self.columns)}"
@@ -121,86 +126,49 @@ class EventSequence:
         """Row view: `records[i]` holds record i's values in schema order."""
         return tuple(zip(*self.columns))
 
-    def value_codes(self, name: str) -> array:
-        """Small-int code of every value of one attribute, in record order.
+    def codes(self, key: CodeKey) -> array:
+        """The small-int codes under `key`, built on first use; no cell may be missing.
 
-        A discrete value's code is its index in the schema domain; a
-        numeric value's code is its rank among the sequence's sorted
-        distinct values, so ascending codes are ascending values in any
-        run of records. The attribute must have no missing value.
+        An attribute name gives each value's code in record order: a
+        discrete value's domain index, or a numeric value's rank among
+        the sequence's sorted distinct values, so ascending codes are
+        ascending values. (decision, attribute, offset) gives
+        `value_code * C + class_code` for C classes, pairing decision row
+        r with `attribute` at row r + offset, from row max(0, -offset),
+        the first that has such a partner.
         """
-        codes = self._codes.get(name)
+        codes = self._codes.get(key)
         if codes is None:
-            j = self.column_index(name)
-            column = self.columns[j]
-            domain = self.schema[j].domain
-            symbols = domain if domain is not None else sorted(set(column))
-            code = {value: k for k, value in enumerate(symbols)}
-            codes = self._codes[name] = _code_array(
-                map(code.__getitem__, column), len(code)
-            )
+            if isinstance(key, str):
+                j = self.column_index(key)
+                column = self.columns[j]
+                domain = self.schema[j].domain
+                symbols = domain if domain is not None else sorted(set(column))
+                code = {value: k for k, value in enumerate(symbols)}
+                codes = _code_array(map(code.__getitem__, column), len(code))
+            else:
+                decision, attribute, offset = key
+                width = len(self.attribute(decision).domain)
+                values = self.codes(attribute)
+                first, last = max(0, -offset), min(self.n, self.n - offset)
+                partners = map(width.__mul__, values[first + offset : last + offset])
+                codes = _code_array(
+                    map(add, partners, self.codes(decision)[first:last]),
+                    (max(values, default=0) + 1) * width,
+                )
+            self._codes[key] = codes
         return codes
 
-    def value_counts(self, name: str, start: int, stop: int) -> dict[int, int]:
-        """How often each code of `value_codes(name)[start:stop]` occurs.
+    def counts(self, key: CodeKey, start: int, stop: int) -> dict[int, int]:
+        """`Counter(codes(key)[start:stop])`, keys in the slice's first-appearance order.
 
-        Keys are in their first-appearance order within the slice.
+        The whole array is counted once; a slice subtracts the rows it
+        excludes, which in a sweep are at most w - 1 at either end. Keys
+        keep the whole array's order, except that a key the head holds
+        moves to its first row in the slice, after the keys seen in the
+        slice before it.
         """
-        return self._slice_counts(name, self.value_codes(name), start, stop)
-
-    def pair_codes(
-        self, decision: str, attribute: str, offset: int, start: int, stop: int
-    ) -> list[int]:
-        """`value_code * C + class_code` for the decision rows `start..stop-1`.
-
-        Each decision row r is paired with `attribute` at row r + offset;
-        C is the size of the (discrete) decision domain. The codes of
-        every decision row that has such a partner are built once per
-        (decision, attribute, offset) and reused by every slice.
-        """
-        pairs, first = self._pairs(decision, attribute, offset)
-        return pairs[start - first : stop - first].tolist()
-
-    def pair_counts(
-        self, decision: str, attribute: str, offset: int, start: int, stop: int
-    ) -> dict[int, int]:
-        """How often each code `pair_codes` gives for the same arguments occurs.
-
-        Keys are in their first-appearance order within the slice.
-        """
-        pairs, first = self._pairs(decision, attribute, offset)
-        key = (decision, attribute, offset)
-        return self._slice_counts(key, pairs, start - first, stop - first)
-
-    def _pairs(self, decision: str, attribute: str, offset: int) -> tuple[array, int]:
-        """The cached pair codes of (decision, attribute, offset) and their first decision row."""
-        first = max(0, -offset)
-        key = (decision, attribute, offset)
-        pairs = self._codes.get(key)
-        if pairs is None:
-            classes = self.value_codes(decision)
-            width = len(self.attribute(decision).domain)
-            values = self.value_codes(attribute)
-            last = min(self.n, self.n - offset)
-            pairs = self._codes[key] = _code_array(
-                map(
-                    add,
-                    map(width.__mul__, values[first + offset : last + offset]),
-                    classes[first:last],
-                ),
-                (max(values, default=0) + 1) * width,
-            )
-        return pairs, first
-
-    def _slice_counts(self, key, codes: array, start: int, stop: int) -> dict[int, int]:
-        """`Counter(codes[start:stop])`, keys in the slice's first-appearance order.
-
-        `codes` is the array cached under `key`. The whole array is
-        counted once; a slice subtracts the rows it excludes, which in a
-        sweep are at most w - 1 at either end. Keys keep the whole
-        array's order, except that a key the head holds moves to its
-        first row in the slice, after the keys seen in the slice before it.
-        """
+        codes = self.codes(key)
         whole = self._counts.get(key)
         if whole is None:
             whole = self._counts[key] = Counter(codes)
@@ -218,12 +186,12 @@ class EventSequence:
         return {code: counts[code] for code in order if counts[code]}
 
     @cached_property
-    def _codes(self) -> dict[str | tuple[str, str, int], array]:
-        """Value codes by attribute name, pair codes by (decision, attribute, offset)."""
+    def _codes(self) -> dict[CodeKey, array]:
+        """The array `codes` gives for each key it has been asked for."""
         return {}
 
     @cached_property
-    def _counts(self) -> dict[str | tuple[str, str, int], Counter]:
+    def _counts(self) -> dict[CodeKey, Counter]:
         """Whole-array counts of each array `_codes` holds, under the same key."""
         return {}
 
@@ -316,7 +284,11 @@ def _not_finite(token: str) -> str:
             f"an integer of {len(digits)} digits exceeds Python's limit of "
             f"{sys.get_int_max_str_digits()} digits for reading an integer"
         )
-    return f"{token!r} is not a finite number"
+    # quote only a short prefix of an over-long literal
+    shown = repr(token) if len(token) <= 20 else f"{token[:20]!r}... ({len(token)} characters)"
+    if digits[:1].isalpha():  # nan, inf, infinity
+        return f"{shown} is not a finite number"
+    return f"{shown} is beyond float range"
 
 
 def _infer_column(

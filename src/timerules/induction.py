@@ -11,13 +11,13 @@ all sharing one decision column. A record is classified by the one leaf
 it reaches; a symbol no branch covers sends it to the default class.
 
 The learner reads the training window's column views and asks the
-window for its codes: each row's class code and, per column, its
-small-int pair codes, `value_code * C + class_code` for C classes, where
-a numeric value's code is its rank among the source sequence's sorted
-distinct values (the presorting idea of C4.5 and SPRINT). The window
-slices them from the codes its source sequence caches per (decision,
-attribute, time offset), so every (w, pos) of a sweep slices the same
-codes and the learner does no window arithmetic of its own. A node counts its rows' pair codes per
+window for a column's `codes` and `counts` only: the decision column
+gives each row's class code, and a condition column its small-int pair
+codes, `value_code * C + class_code` for C classes, where a numeric
+value's code is its rank among the source sequence's sorted distinct
+values (the presorting idea of C4.5 and SPRINT). The window slices them
+from the codes its source sequence caches, so the learner does no
+window arithmetic of its own. A node counts its rows' pair codes per
 column in one pass and scores every candidate split from those counts
 alone, and the winning split hands back each child's class counts (as
 C4.5 knows a child's class distribution once the split is scored). A
@@ -25,8 +25,8 @@ child whose counts hold one class becomes a leaf at once, with no row
 list and no recount. A discrete split groups only its impure children's
 rows, and each inherits its counts, which are in its own
 first-appearance order. The root, the only node holding every row,
-reads its window's counts, which the window derives from the counts of
-its source's whole code arrays.
+reads its window's counts, so a code list is fetched only when a node
+below the root first scans it.
 
 A node scans only its live columns: those with at least two distinct
 values on its rows. A column that is constant on a node is constant on
@@ -177,21 +177,24 @@ def _entropy(counts: Iterable[int], total: int) -> float:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity: never hash the window
 class _Column:
-    """One training column with its (value, class) pair codes.
+    """One column of the training window `window`; `domain` is None if numeric.
 
-    `pairs[i]` is `value_code * class_count + class_code` of row i; a
-    numeric value's code is its rank among the source sequence's sorted
-    distinct values, so ascending codes are ascending values.
+    `pairs[i]` is `value_code * class_count + class_code` of row i,
+    fetched by the first node below the root that scans the column;
+    ascending value codes are ascending values.
     """
 
     attribute: str
     time: int
-    numeric: bool
     domain: tuple[str, ...] | None
     values: tuple[object, ...]
-    pairs: list[int]
+    window: TemporalisedDataset
+
+    @cached_property
+    def pairs(self) -> list[int]:
+        return self.window.codes((self.attribute, self.time))
 
 
 def _count(codes: Sequence[int], indices: list[int]) -> dict[int, int]:
@@ -212,26 +215,25 @@ class _TreeBuilder:
     """Gain-ratio tree growth over integer-coded training columns.
 
     Classes are coded by their index in the decision domain, which is
-    also the majority tie-break order. The class and pair codes come from
-    the window; the root reads its window's pair counts, and any other
-    node counts its rows' pair codes in one pass per live column.
+    also the majority tie-break order. The root reads its window's
+    counts; any other node counts its rows' pair codes per live column,
+    fetched from the window on first use, as are the class codes.
     """
 
     def __init__(self, train: TemporalisedDataset):
         self.train = train
         self.classes = train.source.attribute(train.provenance.d).domain
-        self.class_codes = train.class_codes()
-        # every row in order: the root's rows, whose counts the window gives
-        self.rows = list(range(train.n))
-        columns = []
-        for (attr, time), values in zip(train.condition_columns, train.columns):
-            schema = train.source.attribute(attr)
-            pairs = train.pair_codes(attr, time)
-            numeric = schema.kind == "numeric"
-            columns.append(_Column(attr, time, numeric, schema.domain, values, pairs))
+        columns = [
+            _Column(attr, time, train.source.attribute(attr).domain, values, train)
+            for (attr, time), values in zip(train.condition_columns, train.columns)
+        ]
         # column scan order fixes gain-ratio ties: lowest (attribute, time) wins
         columns.sort(key=lambda c: (c.attribute, c.time))
         self.columns = columns
+
+    @cached_property
+    def class_codes(self) -> list[int]:
+        return self.train.codes(self.train.decision_column)
 
     def majority(self, counts: dict[int, int]) -> object:
         best = max(counts.values())
@@ -239,17 +241,17 @@ class _TreeBuilder:
 
     def build(
         self,
-        indices: list[int],
+        indices: Sequence[int],
         columns: list[_Column],
         counts: dict[int, int] | None = None,
     ):
         """The subtree over rows `indices`, scanning only `columns`.
 
-        The rows hold at least two classes. `counts` are their class
-        counts in first-appearance order, if the caller already has them.
-        A child whose class counts from the winning split hold one class
-        becomes a leaf and is not built. A discrete split groups only its
-        impure children's rows, which inherit their counts.
+        The rows, a `range` at the root, hold at least two classes.
+        `counts` are their class counts in first-appearance order, if the
+        caller has them. A child whose class counts from the winning split
+        hold one class becomes a leaf and is not built. A discrete split
+        groups only its impure children's rows, which inherit their counts.
 
         A numeric split's threshold is the midpoint of the values either
         side of the cut if it lies in [below, above), else `below` itself
@@ -266,7 +268,7 @@ class _TreeBuilder:
 
         column, cut, children = best
         values = column.values
-        if column.numeric:
+        if column.domain is None:
             ordered = sorted(indices, key=values.__getitem__)
             low, high = ordered[:cut], ordered[cut:]
             below, above = values[low[-1]], values[high[0]]
@@ -329,14 +331,14 @@ class _TreeBuilder:
         """
         total = len(indices)
         width = len(self.classes)
-        root = indices is self.rows
+        root = isinstance(indices, range)
         best = None
         best_key = (-1, -math.inf)  # (positive-gain flag, gain ratio)
         live = []
         for column in columns:
             by_value: dict = {}
             if root:
-                pair_counts = self.train.pair_counts(column.attribute, column.time)
+                pair_counts = self.train.counts((column.attribute, column.time))
             else:
                 pair_counts = _count(column.pairs, indices)
             for pair, c in pair_counts.items():
@@ -349,7 +351,7 @@ class _TreeBuilder:
             if len(by_value) < 2:
                 continue
             live.append(column)
-            if not column.numeric:
+            if column.domain is not None:
                 children = 0.0
                 split_info = 0.0
                 for group in by_value.values():
@@ -436,9 +438,10 @@ def induce(train: TemporalisedDataset) -> RuleSet:
         raise DataError("classification requires discrete decision")
 
     builder = _TreeBuilder(train)
-    counts = train.class_counts()
+    counts = train.counts(train.decision_column)
+    root = range(train.n)
     return RuleSet(
-        tree=builder._pure_leaf(counts) or builder.build(builder.rows, builder.columns, counts),
+        tree=builder._pure_leaf(counts) or builder.build(root, builder.columns, counts),
         default_class=builder.majority(counts),
         decision_attribute=d,
         decision_time=pos,

@@ -13,12 +13,13 @@ with every other attribute serving as a same-time condition.
 A merged dataset is a view: its spec and its source sequence, nothing
 more. Everything else is derived from those two. The column of
 attribute a at window time t is the slice of a's source column starting
-at source row t-1, so row i of it is source row i+t-1, and the learner's
-value and pair codes are the same slices of the codes the source caches.
-Every (w, pos) of a sweep therefore slices the same source columns and
-the same codes, and no flat record is built row by row. A window's
-class and pair counts come from the source's counts of those whole
-code arrays, less the few rows the window leaves out.
+at source row t-1, so row i of it is source row i+t-1. The learner asks
+a window for a column's `codes` and `counts` only: the decision column's
+class codes and a condition column's pair codes are slices of the codes
+the source caches, and their counts come from the source's counts of
+the whole code arrays, less the few rows the window leaves out. Every
+(w, pos) of a sweep therefore slices the same source columns and the
+same codes, and no flat record is built row by row.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .dataset import DataError, EventSequence, write_csv
+from .dataset import CodeKey, DataError, EventSequence, write_csv
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,9 @@ class TemporalisedDataset:
     `condition_columns[k]` and `decisions` the decision column, all of
     length `n`: row i of column (attribute, t) is source row i+t-1.
     `records` joins them row-wise, decision value last. `source`
-    resolves a column's kind and domain; `class_codes` and `pair_codes`
-    are the window's slices of the codes it caches, and `class_counts`
-    and `pair_counts` those slices' counts, derived from the whole
-    arrays' counts it caches.
+    resolves a column's kind and domain, and `codes(column)` and
+    `counts(column)` are the window's slices of the codes and counts it
+    caches.
     """
 
     provenance: TemporalisationSpec
@@ -118,25 +118,25 @@ class TemporalisedDataset:
         """Row-wise view: the condition values of each row, then its decision."""
         return tuple(zip(*self.columns, self.decisions))
 
-    def class_codes(self) -> list[int]:
-        """Each row's decision code: the value's index in the decision domain."""
-        d, pos = self.decision_column
-        return self._rows(self.source.value_codes(d), pos).tolist()
+    def codes(self, column: tuple[str, int]) -> list[int]:
+        """Each row's class code in the decision column, else its pair code.
 
-    def class_counts(self) -> dict[int, int]:
-        """How often each class code occurs, in `class_codes` first-appearance order."""
-        d, pos = self.decision_column
-        return self.source.value_counts(d, pos - 1, pos - 1 + self.n)
+        A pair code is `value_code * C + class_code` for C classes.
+        """
+        key, start = self._code_key(column)
+        return self.source.codes(key)[start : start + self.n].tolist()
 
-    def pair_codes(self, attribute: str, time: int) -> list[int]:
-        """`value_code * C + class_code` of each row, for column (attribute, time)."""
-        d, pos = self.decision_column
-        return self.source.pair_codes(d, attribute, time - pos, pos - 1, pos - 1 + self.n)
+    def counts(self, column: tuple[str, int]) -> dict[int, int]:
+        """How often each of `codes(column)` occurs, in first-appearance order."""
+        key, start = self._code_key(column)
+        return self.source.counts(key, start, start + self.n)
 
-    def pair_counts(self, attribute: str, time: int) -> dict[int, int]:
-        """How often each of `pair_codes(attribute, time)` occurs, in first-appearance order."""
+    def _code_key(self, column: tuple[str, int]) -> tuple[CodeKey, int]:
+        """The source's key for `column`'s codes, and the index of row 0 in them."""
+        attribute, time = column
         d, pos = self.decision_column
-        return self.source.pair_counts(d, attribute, time - pos, pos - 1, pos - 1 + self.n)
+        key = attribute if column == self.decision_column else (d, attribute, time - pos)
+        return key, min(pos, time) - 1
 
     def to_csv(self, path: str | Path) -> None:
         """Debug dump with `attr@t<k>` headers, decision column last."""

@@ -148,6 +148,20 @@ class TestLoadCsv:
         assert f"limit of {limit} digits" in message
         assert "1" * 20 not in message
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_over_long_float_quotes_a_prefix_and_its_length(self, tmp_path, sign):
+        # float() reads 5,000 digits and a fraction as inf
+        token = f"{sign}{'1' * 5000}.5"
+        path = write(tmp_path, f"x,y\n1,a\n{token},b\n")
+        with pytest.raises(DataError) as caught:
+            load_csv(path)
+        message = str(caught.value)
+        assert "row 3, column 'x'" in message
+        assert "is beyond float range" in message
+        assert f"({len(token)} characters)" in message
+        assert "1" * 30 not in message
+        assert len(message) < 200
+
     def test_python_only_number_spellings_are_symbols(self, tmp_path):
         # int() reads "1_0" as 10 and "٣" (Arabic-Indic three) as 3
         data = load_csv(write(tmp_path, "d\n10\n1_0\n?\n3\n٣\n1_0.5\n"))
@@ -266,6 +280,9 @@ class TestEventSequence:
         schema = (AttributeSchema("x", "numeric"), AttributeSchema("x", "numeric"))
         with pytest.raises(DataError, match="unique"):
             EventSequence(schema=schema, columns=((1,), (2,)))
+        schema = tuple(AttributeSchema(name, "numeric") for name in "xyzyx")
+        with pytest.raises(DataError, match="unique, but 'y' repeats"):
+            EventSequence(schema=schema, columns=((1,),) * 5)
 
     @pytest.mark.parametrize(
         "columns, message",
@@ -367,19 +384,26 @@ class TestEventSequence:
         data = EventSequence(
             schema=schema, columns=((3, 1.0, -2, 1), ("b", "a", "b", "b"))
         )
-        assert list(data.value_codes("x")) == [2, 1, 0, 1]
-        assert list(data.value_codes("y")) == [1, 0, 1, 1]
+        assert list(data.codes("x")) == [2, 1, 0, 1]
+        assert list(data.codes("y")) == [1, 0, 1, 1]
 
     def test_pair_codes_pair_each_decision_row_with_an_offset_row(self):
         schema = (AttributeSchema("x", "numeric"), AttributeSchema("y", "discrete", ("a", "b")))
         data = EventSequence(
             schema=schema, columns=((3, 1.0, -2, 1), ("b", "a", "b", "b"))
         )
-        # x codes 2, 1, 0, 1 and y codes 1, 0, 1, 1, with two classes
-        assert data.pair_codes("y", "x", 0, 0, 4) == [5, 2, 1, 3]
-        assert data.pair_codes("y", "x", 1, 0, 3) == [3, 0, 3]
-        assert data.pair_codes("y", "x", -2, 2, 4) == [5, 3]
-        assert data.pair_codes("y", "x", -2, 3, 4) == [3]
+        # x codes 2, 1, 0, 1 and y codes 1, 0, 1, 1, with two classes; the
+        # codes of a negative offset start at the first row with a partner
+        cases = [
+            ((0, 0, 4), [5, 2, 1, 3], {5: 1, 2: 1, 1: 1, 3: 1}),
+            ((1, 0, 3), [3, 0, 3], {3: 2, 0: 1}),
+            ((-2, 0, 2), [5, 3], {5: 1, 3: 1}),
+            ((-2, 1, 2), [3], {3: 1}),
+        ]
+        for (offset, start, stop), codes, counts in cases:
+            assert list(data.codes(("y", "x", offset))[start:stop]) == codes
+            got = data.counts(("y", "x", offset), start, stop)
+            assert list(got.items()) == list(counts.items())
 
 
 class TestAsDiscrete:

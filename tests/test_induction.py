@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -24,7 +25,12 @@ from timerules.induction import (
     induce,
 )
 from timerules.semantics import classify_rule_set, classify_times
-from timerules.temporalise import TemporalisationSpec, column_name, temporalise
+from timerules.temporalise import (
+    TemporalisationSpec,
+    TemporalisedDataset,
+    column_name,
+    temporalise,
+)
 from timerules.worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
 
 from oracles import (
@@ -198,11 +204,10 @@ class TestCounting:
         for w in range(1, min(5, data.n) + 1):
             for pos in range(1, w + 1):
                 window = temporalise(TemporalisationSpec(w=w, pos=pos, d="c0"), data)
-                classes, pairs = window_code_counts(window)
-                assert list(window.class_counts().items()) == classes, (w, pos)
-                for column in window.condition_columns:
-                    counts = window.pair_counts(*column)
-                    assert list(counts.items()) == pairs[column], (w, pos, column)
+                classes, expected = window_code_counts(window)
+                expected[window.decision_column] = classes
+                for column, counts in expected.items():
+                    assert list(window.counts(column).items()) == counts, (w, pos, column)
 
 
 def spy_build():
@@ -210,6 +215,38 @@ def spy_build():
     return mock.patch.object(
         _TreeBuilder, "build", autospec=True, side_effect=_TreeBuilder.build
     )
+
+
+def spy_codes():
+    """Patch `TemporalisedDataset.codes` with a mock that records every call."""
+    return mock.patch.object(
+        TemporalisedDataset, "codes", autospec=True, side_effect=TemporalisedDataset.codes
+    )
+
+
+class TestCodeFetching:
+    def test_a_root_with_only_pure_children_fetches_no_codes(self):
+        # the root reads its window's counts, and in a period-8 cycle its
+        # split leaves only pure children, so no node needs a code list
+        data = generate_periodic(8, 200)
+        for w in range(1, 6):
+            for pos in range(1, w + 1):
+                train = temporalise(TemporalisationSpec(w=w, pos=pos, d="x"), data)
+                with spy_codes() as codes:
+                    induce(train)
+                assert codes.call_count == 0, (w, pos)
+
+    def test_each_column_is_fetched_at_most_once(self):
+        rng = random.Random(5)
+        schema = tuple(AttributeSchema(name, "discrete", ("a", "b", "c")) for name in "uvc")
+        data = from_rows(schema, [[rng.choice("abc") for _ in "uvc"] for _ in range(300)])
+        for w, pos in ((1, 1), (2, 1), (2, 2), (3, 2)):
+            train = temporalise(TemporalisationSpec(w=w, pos=pos, d="c"), data)
+            with spy_codes() as codes:
+                induce(train)
+            fetched = Counter(call.args[1] for call in codes.call_args_list)
+            assert fetched and max(fetched.values()) == 1, (w, pos)
+            assert set(fetched) <= {train.decision_column, *train.condition_columns}
 
 
 class TestPureChildren:

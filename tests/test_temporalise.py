@@ -12,6 +12,7 @@ from timerules.temporalise import (
     temporalised_record_count,
 )
 
+from oracles import window_code_counts
 from tables import from_rows
 
 TABLE_ROWS = "1,2,4,true\n2,3,5,true\n6,7,8,false\n5,2,3,true\n"
@@ -220,16 +221,20 @@ class TestCodes:
             for pos in range(1, w + 1):
                 out = temporalise(TemporalisationSpec(w=w, pos=pos, d=d), data)
                 class_codes = [classes.index(value) for value in out.decisions]
-                assert out.class_codes() == class_codes
+                expected = {out.decision_column: class_codes}
                 for (attr, t), column in zip(out.condition_columns, out.columns):
                     symbols = data.attribute(attr).domain
                     if symbols is None:
                         symbols = sorted(set(data.columns[data.column_index(attr)]))
-                    expected = [
+                    expected[attr, t] = [
                         symbols.index(value) * len(classes) + k
                         for value, k in zip(column, class_codes)
                     ]
-                    assert out.pair_codes(attr, t) == expected, (w, pos, attr, t)
+                class_counts, counts = window_code_counts(out)
+                counts[out.decision_column] = class_counts
+                for column, codes in expected.items():
+                    assert out.codes(column) == codes, (w, pos, column)
+                    assert list(out.counts(column).items()) == counts[column], (w, pos, column)
 
 
 class TestDump:
