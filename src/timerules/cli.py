@@ -191,6 +191,9 @@ def _read_manifest(path: str) -> dict:
         and set(manifest["config"]) == set(_GENERATOR_KEYS[manifest["kind"]])
         and all(type(value) is int for value in manifest["config"].values())
         and isinstance(manifest.get("csv"), str)
+        # a bare file name, as written: the CSV lands beside its manifest
+        and manifest["csv"] not in ("", ".", "..")
+        and Path(manifest["csv"]).name == manifest["csv"]
     ):
         raise DataError(f"{path} is not a manifest that 'timerules generate' writes")
     return manifest

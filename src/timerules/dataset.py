@@ -357,7 +357,10 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
         )
         schema.append(attribute)
         columns.append(values)
-    return EventSequence(schema=tuple(schema), columns=tuple(columns))
+    try:
+        return EventSequence(schema=tuple(schema), columns=tuple(columns))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def split_chronological(data: EventSequence, test_count: int) -> tuple[EventSequence, EventSequence]:

@@ -10,8 +10,8 @@ the rule set: its root-to-leaf paths, read off on demand, are the rules,
 all sharing one decision column. A record is classified by the one leaf
 it reaches; a symbol no branch covers sends it to the default class.
 
-The learner reads the training window's column views and asks the
-window for a column's `codes` and `counts` only: the decision column
+The learner reads the training window one keyed column at a time and
+scores splits from its `codes` and `counts` only: the decision column
 gives each row's class code, and a condition column its small-int pair
 codes, `value_code * C + class_code` for C classes, where a numeric
 value's code is its rank among the source sequence's sorted distinct
@@ -26,7 +26,8 @@ list and no recount. A discrete split groups only its impure children's
 rows, and each inherits its counts, which are in its own
 first-appearance order. The root, the only node holding every row,
 reads its window's counts, so a code list is fetched only when a node
-below the root first scans it.
+below the root first scans it, and a column's values only when a split
+on it sorts rows (numeric) or groups impure children's rows.
 
 A node scans only its live columns: those with at least two distinct
 values on its rows. A column that is constant on a node is constant on
@@ -40,7 +41,7 @@ The sweep needs only a tree's leaf count, the columns it tests and its
 accuracy. `size` and `tested` come from one cached walk of the tree,
 and `Rule`/`Condition` objects are built only when `rules` or `render`
 is read. Evaluation routes row indices down the tree column by column
-instead of walking it once per record.
+instead of walking it once per record, fetching only the tested columns.
 """
 
 from __future__ import annotations
@@ -183,18 +184,22 @@ class _Column:
 
     `pairs[i]` is `value_code * class_count + class_code` of row i,
     fetched by the first node below the root that scans the column;
-    ascending value codes are ascending values.
+    ascending value codes are ascending values. `values[i]` is row i's
+    value, fetched by the first split on the column that sorts or groups rows.
     """
 
     attribute: str
     time: int
     domain: tuple[str, ...] | None
-    values: tuple[object, ...]
     window: TemporalisedDataset
 
     @cached_property
     def pairs(self) -> list[int]:
         return self.window.codes((self.attribute, self.time))
+
+    @cached_property
+    def values(self) -> tuple[object, ...]:
+        return self.window.column((self.attribute, self.time))
 
 
 def _count(codes: Sequence[int], indices: list[int]) -> dict[int, int]:
@@ -224,8 +229,8 @@ class _TreeBuilder:
         self.train = train
         self.classes = train.source.attribute(train.provenance.d).domain
         columns = [
-            _Column(attr, time, train.source.attribute(attr).domain, values, train)
-            for (attr, time), values in zip(train.condition_columns, train.columns)
+            _Column(attr, time, train.source.attribute(attr).domain, train)
+            for attr, time in train.condition_columns
         ]
         # column scan order fixes gain-ratio ties: lowest (attribute, time) wins
         columns.sort(key=lambda c: (c.attribute, c.time))
@@ -267,8 +272,8 @@ class _TreeBuilder:
             return _Leaf(self.majority(counts))
 
         column, cut, children = best
-        values = column.values
         if column.domain is None:
+            values = column.values
             ordered = sorted(indices, key=values.__getitem__)
             low, high = ordered[:cut], ordered[cut:]
             below, above = values[low[-1]], values[high[0]]
@@ -291,6 +296,7 @@ class _TreeBuilder:
         domain = column.domain
         rows = {domain[code]: [] for code, group in children.items() if len(group) > 1}
         if rows:
+            values = column.values
             for i in indices:
                 group = rows.get(values[i])
                 if group is not None:
@@ -469,9 +475,9 @@ def classify(rule_set: RuleSet, record: Mapping[str, object]) -> object:
 
 def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     """Fraction of records whose recorded decision the rule set reproduces."""
-    columns = dict(zip(data.condition_columns, data.columns))
-    _reject_missing_columns(rule_set.tested, columns, "dataset")
-    decisions = data.decisions
+    _reject_missing_columns(rule_set.tested, data.condition_columns, "dataset")
+    columns = {key: data.column(key) for key in rule_set.tested}
+    decisions = data.column(data.decision_column)
     hits = 0
     for value, rows in _leaves(rule_set.tree, columns, list(range(data.n))):
         predicted = rule_set.default_class if value is None else value

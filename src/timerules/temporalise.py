@@ -11,15 +11,15 @@ Window size 1 is the degenerate instantaneous case: the original data,
 with every other attribute serving as a same-time condition.
 
 A merged dataset is a view: its spec and its source sequence, nothing
-more. Everything else is derived from those two. The column of
-attribute a at window time t is the slice of a's source column starting
-at source row t-1, so row i of it is source row i+t-1. The learner asks
-a window for a column's `codes` and `counts` only: the decision column's
-class codes and a condition column's pair codes are slices of the codes
-the source caches, and their counts come from the source's counts of
-the whole code arrays, less the few rows the window leaves out. Every
-(w, pos) of a sweep therefore slices the same source columns and the
-same codes, and no flat record is built row by row.
+more. Everything else is derived from those two, one column at a time
+and only when asked for. A column is keyed (attribute a, window time t):
+`column` gives its values, the slice of a's source column starting at
+source row t-1, so row i of it is source row i+t-1. `codes` gives the
+decision column's class codes or a condition column's pair codes, a
+slice of the codes the source caches, and `counts` their counts, the
+source's counts of the whole code array less the few rows the window
+leaves out. Every (w, pos) of a sweep therefore slices the same source
+columns and codes, and no flat record is built row by row.
 """
 
 from __future__ import annotations
@@ -61,13 +61,11 @@ class TemporalisedDataset:
 
     Building one checks that `source` holds the decision attribute, at
     least w records and no missing value, so every window has rows and
-    no `?` cell. `columns[k]` holds condition column
-    `condition_columns[k]` and `decisions` the decision column, all of
-    length `n`: row i of column (attribute, t) is source row i+t-1.
-    `records` joins them row-wise, decision value last. `source`
-    resolves a column's kind and domain, and `codes(column)` and
-    `counts(column)` are the window's slices of the codes and counts it
-    caches.
+    no `?` cell. A column is keyed (attribute, t): `decision_column` or
+    one of `condition_columns`. `column(key)`, `codes(key)` and
+    `counts(key)` read one column of length `n`, whose row i is source
+    row i+t-1, and `records` joins every column row-wise, decision value
+    last. `source` resolves a column's kind and domain.
     """
 
     provenance: TemporalisationSpec
@@ -99,24 +97,17 @@ class TemporalisedDataset:
     def field_count(self) -> int:
         return len(self.condition_columns) + 1
 
-    def _rows(self, column, time: int):
-        """The window's rows, at time `time`, of a column aligned with the source's."""
-        return column[time - 1 : time - 1 + self.n]
-
-    @cached_property
-    def columns(self) -> tuple[tuple[object, ...], ...]:
-        source = dict(zip(self.source.attribute_names, self.source.columns))
-        return tuple(self._rows(source[a], t) for a, t in self.condition_columns)
-
-    @cached_property
-    def decisions(self) -> tuple[object, ...]:
-        d, pos = self.decision_column
-        return self._rows(self.source.columns[self.source.column_index(d)], pos)
+    def column(self, column: tuple[str, int]) -> tuple[object, ...]:
+        """The window's values in `column` (attribute, t): row i is source row i+t-1."""
+        attribute, time = column
+        values = self.source.columns[self.source.column_index(attribute)]
+        return values[time - 1 : time - 1 + self.n]
 
     @cached_property
     def records(self) -> tuple[tuple[object, ...], ...]:
         """Row-wise view: the condition values of each row, then its decision."""
-        return tuple(zip(*self.columns, self.decisions))
+        keys = (*self.condition_columns, self.decision_column)
+        return tuple(zip(*map(self.column, keys)))
 
     def codes(self, column: tuple[str, int]) -> list[int]:
         """Each row's class code in the decision column, else its pair code.

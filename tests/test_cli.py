@@ -115,16 +115,20 @@ class TestGenerate:
                 "config": {"width": 8, "height": 8, "steps": 60, "seed": 3, "colour": "red"},
                 "csv": "walk.csv",
             },
+            {"kind": "periodic", "config": {"period": 8, "steps": 40}, "csv": "../escaped.csv"},
+            {"kind": "periodic", "config": {"period": 8, "steps": 40}, "csv": "sub/p.csv"},
         ],
-        ids=["list", "no-kind", "unknown-kind", "unknown-config-key"],
+        ids=["list", "no-kind", "unknown-kind", "unknown-config-key", "parent-csv", "subdir-csv"],
     )
     def test_misshapen_manifest_is_a_data_error(self, tmp_path, capsys, manifest):
         path = tmp_path / "bad.manifest.json"
         path.write_text(json.dumps(manifest), encoding="utf-8")
+        beside = set(tmp_path.parent.iterdir())
         code, _, err = run(capsys, "generate", "from-manifest", str(path))
         assert code == 3
         assert f"{path} is not a manifest" in err
-        assert not list(tmp_path.glob("*.csv"))
+        assert list(tmp_path.iterdir()) == [path]
+        assert set(tmp_path.parent.iterdir()) == beside
 
     def test_manifest_config_the_generator_rejects_is_a_data_error(self, tmp_path, capsys):
         # well-formed, but no flag was given: the bad value is the file's

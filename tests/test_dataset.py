@@ -88,6 +88,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(write(tmp_path, "x,y\n1,2\n1\n"))
 
+    def test_repeated_header_names_the_file(self, tmp_path):
+        path = write(tmp_path, "x,x\n1,2\n")
+        with pytest.raises(DataError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: attribute names must be unique, but 'x' repeats"
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             load_csv(write(tmp_path, ""))

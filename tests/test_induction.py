@@ -224,17 +224,30 @@ def spy_codes():
     )
 
 
+def spy_column():
+    """Patch `TemporalisedDataset.column` with a mock that records every call."""
+    return mock.patch.object(
+        TemporalisedDataset, "column", autospec=True, side_effect=TemporalisedDataset.column
+    )
+
+
 class TestCodeFetching:
     def test_a_root_with_only_pure_children_fetches_no_codes(self):
         # the root reads its window's counts, and in a period-8 cycle its
-        # split leaves only pure children, so no node needs a code list
+        # split leaves only pure children, so no node needs a code list and
+        # no rows are grouped by value; evaluating reads the tested columns
         data = generate_periodic(8, 200)
         for w in range(1, 6):
             for pos in range(1, w + 1):
                 train = temporalise(TemporalisationSpec(w=w, pos=pos, d="x"), data)
-                with spy_codes() as codes:
-                    induce(train)
+                with spy_codes() as codes, spy_column() as column:
+                    rule_set = induce(train)
                 assert codes.call_count == 0, (w, pos)
+                assert column.call_count == 0, (w, pos)
+                with spy_column() as column:
+                    evaluate(rule_set, train)
+                fetched = sorted(call.args[1] for call in column.call_args_list)
+                assert fetched == sorted([*rule_set.tested, train.decision_column]), (w, pos)
 
     def test_each_column_is_fetched_at_most_once(self):
         rng = random.Random(5)
@@ -242,11 +255,12 @@ class TestCodeFetching:
         data = from_rows(schema, [[rng.choice("abc") for _ in "uvc"] for _ in range(300)])
         for w, pos in ((1, 1), (2, 1), (2, 2), (3, 2)):
             train = temporalise(TemporalisationSpec(w=w, pos=pos, d="c"), data)
-            with spy_codes() as codes:
+            with spy_codes() as codes, spy_column() as column:
                 induce(train)
-            fetched = Counter(call.args[1] for call in codes.call_args_list)
-            assert fetched and max(fetched.values()) == 1, (w, pos)
-            assert set(fetched) <= {train.decision_column, *train.condition_columns}
+            for spy in (codes, column):
+                fetched = Counter(call.args[1] for call in spy.call_args_list)
+                assert fetched and max(fetched.values()) == 1, (w, pos)
+                assert set(fetched) <= {train.decision_column, *train.condition_columns}
 
 
 class TestPureChildren:

@@ -197,7 +197,9 @@ class TestBruteForce:
         out = temporalise(spec, data)
         expected = brute_force_windows(data, spec.w, spec.pos, spec.d)
         assert out.records == expected
-        assert out.decisions == tuple(record[-1] for record in expected)
+        keys = (*out.condition_columns, out.decision_column)
+        for k, key in enumerate(keys):
+            assert out.column(key) == tuple(record[k] for record in expected), key
         assert out.n == len(expected)
 
 
@@ -220,15 +222,16 @@ class TestCodes:
         for w in range(1, data.n + 1):
             for pos in range(1, w + 1):
                 out = temporalise(TemporalisationSpec(w=w, pos=pos, d=d), data)
-                class_codes = [classes.index(value) for value in out.decisions]
+                decisions = out.column(out.decision_column)
+                class_codes = [classes.index(value) for value in decisions]
                 expected = {out.decision_column: class_codes}
-                for (attr, t), column in zip(out.condition_columns, out.columns):
+                for attr, t in out.condition_columns:
                     symbols = data.attribute(attr).domain
                     if symbols is None:
                         symbols = sorted(set(data.columns[data.column_index(attr)]))
                     expected[attr, t] = [
                         symbols.index(value) * len(classes) + k
-                        for value, k in zip(column, class_codes)
+                        for value, k in zip(out.column((attr, t)), class_codes)
                     ]
                 class_counts, counts = window_code_counts(out)
                 counts[out.decision_column] = class_counts
