@@ -38,10 +38,15 @@ insert in first-appearance order, so every entropy term is summed in
 the order a row-by-row scan gives.
 
 The sweep needs only a tree's leaf count, the columns it tests and its
-accuracy. `size` and `tested` come from one cached walk of the tree,
-and `Rule`/`Condition` objects are built only when `rules` or `render`
-is read. Evaluation routes row indices down the tree column by column
-instead of walking it once per record, fetching only the tested columns.
+accuracy. `size`, `tested` and `numeric` come from one cached walk of
+the tree, and `Rule`/`Condition` objects are built only when `rules` or
+`render` is read. Evaluation scores the root from the window's counts,
+as the learner does: a leaf root from the class counts, a discrete root
+from its column's pair counts, where a value whose branch is a leaf, or
+which has no branch, scores all its rows at once. Only the other rows
+are routed down the tree column by column, and only they make it fetch
+the tested columns and the decision column, which no tree of a period-8
+series does.
 """
 
 from __future__ import annotations
@@ -107,13 +112,14 @@ class Rule:
 class RuleSet:
     """One induced tree, read as the rule set of its root-to-leaf paths.
 
-    `classify` and `evaluate` route records down the tree. `size` (its
-    leaf count) and `tested` (the (attribute, time) columns its splits
-    test) are read off the tree without building rules. `rules` are its
-    leaf paths in extraction order (discrete branches in domain order, a
-    numeric split's low side first), so exactly one rule holds for each
-    record the tree covers; every leaf is one rule and every split's
-    column is tested by the rules below it.
+    `classify` routes a record down the tree and `evaluate` scores a
+    window. `size` (its leaf count), `tested` (the (attribute, time)
+    columns its splits test) and `numeric` (those tested against a
+    threshold) are read off the tree without building rules. `rules` are
+    its leaf paths in extraction order (discrete branches in domain
+    order, a numeric split's low side first), so exactly one rule holds
+    for each record the tree covers; every leaf is one rule and every
+    split's column is tested by the rules below it.
     """
 
     tree: object = field(repr=False)
@@ -129,9 +135,10 @@ class RuleSet:
         )
 
     @cached_property
-    def _shape(self) -> tuple[int, frozenset[tuple[str, int]]]:
+    def _shape(self) -> tuple[int, frozenset, frozenset]:
         leaves = 0
         tested = set()
+        numeric = set()
         stack = [self.tree]
         while stack:
             node = stack.pop()
@@ -139,8 +146,10 @@ class RuleSet:
                 leaves += 1
                 continue
             tested.add((node.attribute, node.time))
+            if node.threshold is not None:
+                numeric.add((node.attribute, node.time))
             stack += node.branches.values()
-        return leaves, frozenset(tested)
+        return leaves, frozenset(tested), frozenset(numeric)
 
     @property
     def size(self) -> int:
@@ -149,6 +158,11 @@ class RuleSet:
     @property
     def tested(self) -> frozenset[tuple[str, int]]:
         return self._shape[1]
+
+    @property
+    def numeric(self) -> frozenset[tuple[str, int]]:
+        """The tested columns that a split tests against a threshold."""
+        return self._shape[2]
 
     def render(self) -> str:
         return "\n".join(rule.render() for rule in self.rules)
@@ -168,6 +182,14 @@ class _Split:
     # discrete: every domain symbol -> child, in domain order;
     # numeric: {False: low, True: high}, keyed by `value > threshold`
     branches: dict
+
+
+def _classes(data: TemporalisedDataset) -> tuple[str, ...]:
+    """The domain of `data`'s decision attribute, which must be discrete."""
+    decision = data.source.attribute(data.provenance.d)
+    if decision.kind != "discrete":
+        raise DataError("classification requires discrete decision")
+    return decision.domain
 
 
 def _entropy(counts: Iterable[int], total: int) -> float:
@@ -227,7 +249,7 @@ class _TreeBuilder:
 
     def __init__(self, train: TemporalisedDataset):
         self.train = train
-        self.classes = train.source.attribute(train.provenance.d).domain
+        self.classes = _classes(train)
         columns = [
             _Column(attr, time, train.source.attribute(attr).domain, train)
             for attr, time in train.condition_columns
@@ -294,13 +316,8 @@ class _TreeBuilder:
         # each child holds one value of the split column
         live = [c for c in live if c is not column]
         domain = column.domain
-        rows = {domain[code]: [] for code, group in children.items() if len(group) > 1}
-        if rows:
-            values = column.values
-            for i in indices:
-                group = rows.get(values[i])
-                if group is not None:
-                    group.append(i)
+        impure = [domain[code] for code, group in children.items() if len(group) > 1]
+        rows = _group(column.values, indices, impure) if impure else {}
         majority = self.majority(counts)
         branches = {}
         for code, symbol in enumerate(domain):
@@ -393,6 +410,16 @@ class _TreeBuilder:
         return best, live
 
 
+def _group(values: Sequence, indices: Iterable[int], symbols: Iterable) -> dict:
+    """The rows of `indices` whose value is each of `symbols`, by symbol."""
+    rows = {symbol: [] for symbol in symbols}
+    for i in indices:
+        group = rows.get(values[i])
+        if group is not None:
+            group.append(i)
+    return rows
+
+
 def _leaves(node, columns: Mapping, indices: list[int]):
     """Yield (leaf value, rows reaching that leaf) for the rows `indices`.
 
@@ -439,11 +466,8 @@ def _extract_rules(node, path=()):
 
 def induce(train: TemporalisedDataset) -> RuleSet:
     """Grow a gain-ratio tree over `train`; its leaf paths are the rules."""
-    d, pos = train.decision_column
-    if train.source.attribute(d).kind != "discrete":
-        raise DataError("classification requires discrete decision")
-
     builder = _TreeBuilder(train)
+    d, pos = train.decision_column
     counts = train.counts(train.decision_column)
     root = range(train.n)
     return RuleSet(
@@ -474,12 +498,47 @@ def classify(rule_set: RuleSet, record: Mapping[str, object]) -> object:
 
 
 def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
-    """Fraction of records whose recorded decision the rule set reproduces."""
+    """Fraction of records whose recorded decision the rule set reproduces.
+
+    The root is scored from `data`'s counts, whose codes are read through
+    `data`'s own domains; a stray scores as the default class. Only the
+    rows of a numeric root, or of a discrete root's non-leaf children,
+    are routed down the tree.
+    """
+    classes = _classes(data)
     _reject_missing_columns(rule_set.tested, data.condition_columns, "dataset")
+    for key in sorted(rule_set.tested):
+        kind = data.source.attribute(key[0]).kind
+        if (kind == "numeric") != (key in rule_set.numeric):
+            test = "by symbol" if kind == "numeric" else "against a threshold"
+            name = column_name(*key)
+            raise DataError(f"dataset column {name} is {kind}, but the tree tests it {test}")
+    tree, default = rule_set.tree, rule_set.default_class
+    if isinstance(tree, _Leaf):
+        counts = data.counts(data.decision_column)
+        return sum(c for k, c in counts.items() if classes[k] == tree.value) / data.n
+    hits = 0
+    subtrees = {}  # root symbol -> its non-leaf child
+    if tree.threshold is None:
+        domain = data.source.attribute(tree.attribute).domain
+        for pair, c in data.counts((tree.attribute, tree.time)).items():
+            value, klass = divmod(pair, len(classes))
+            child = tree.branches.get(domain[value])
+            if isinstance(child, _Split):
+                subtrees[domain[value]] = child
+            elif classes[klass] == (default if child is None else child.value):
+                hits += c
+        if not subtrees:
+            return hits / data.n
     columns = {key: data.column(key) for key in rule_set.tested}
     decisions = data.column(data.decision_column)
-    hits = 0
-    for value, rows in _leaves(rule_set.tree, columns, list(range(data.n))):
-        predicted = rule_set.default_class if value is None else value
-        hits += list(map(decisions.__getitem__, rows)).count(predicted)
+    if subtrees:
+        rows = _group(columns[tree.attribute, tree.time], range(data.n), subtrees)
+        routed = [(subtrees[symbol], group) for symbol, group in rows.items()]
+    else:
+        routed = [(tree, list(range(data.n)))]
+    for node, group in routed:
+        for value, reached in _leaves(node, columns, group):
+            predicted = default if value is None else value
+            hits += list(map(decisions.__getitem__, reached)).count(predicted)
     return hits / data.n

@@ -19,6 +19,7 @@ from timerules.induction import (
     Condition,
     Rule,
     _count,
+    _Leaf,
     _TreeBuilder,
     classify,
     evaluate,
@@ -235,19 +236,23 @@ class TestCodeFetching:
     def test_a_root_with_only_pure_children_fetches_no_codes(self):
         # the root reads its window's counts, and in a period-8 cycle its
         # split leaves only pure children, so no node needs a code list and
-        # no rows are grouped by value; evaluating reads the tested columns
-        data = generate_periodic(8, 200)
+        # no rows are grouped by value; evaluating scores such a root, or a
+        # single-leaf one (w = 1), from counts too, so it reads no column
+        # of the training window or of a held-out one
+        head, tail = split_chronological(generate_periodic(8, 240), 40)
         for w in range(1, 6):
             for pos in range(1, w + 1):
-                train = temporalise(TemporalisationSpec(w=w, pos=pos, d="x"), data)
+                spec = TemporalisationSpec(w=w, pos=pos, d="x")
+                train, test = temporalise(spec, head), temporalise(spec, tail)
                 with spy_codes() as codes, spy_column() as column:
                     rule_set = induce(train)
                 assert codes.call_count == 0, (w, pos)
                 assert column.call_count == 0, (w, pos)
-                with spy_column() as column:
-                    evaluate(rule_set, train)
-                fetched = sorted(call.args[1] for call in column.call_args_list)
-                assert fetched == sorted([*rule_set.tested, train.decision_column]), (w, pos)
+                for data in (train, test):
+                    with spy_column() as column:
+                        accuracy = evaluate(rule_set, data)
+                    assert column.call_count == 0, (w, pos)
+                    assert accuracy == (0.125 if w == 1 else 1.0), (w, pos)
 
     def test_each_column_is_fetched_at_most_once(self):
         rng = random.Random(5)
@@ -548,6 +553,98 @@ class TestEvaluate:
         rule_set = induce(wide)
         with pytest.raises(DataError, match="missing tested column"):
             evaluate(rule_set, narrow)
+
+    def test_a_threshold_split_on_a_discrete_column_is_rejected(self):
+        rows = [(1, "A"), (2, "A"), (3, "B"), (4, "B")]
+        rule_set = induce(flat_table(rows, kinds=["numeric", "discrete"]))
+        with pytest.raises(DataError, match=r"c0@t1 is discrete, but the tree tests it against"):
+            evaluate(rule_set, flat_table(rows))
+
+    def test_a_symbol_split_on_a_numeric_column_is_rejected(self):
+        rows = [(1, "A"), (2, "A"), (3, "B"), (4, "B")]
+        rule_set = induce(flat_table(rows))
+        with pytest.raises(DataError, match=r"c0@t1 is numeric, but the tree tests it by symbol"):
+            evaluate(rule_set, flat_table(rows, kinds=["numeric", "discrete"]))
+
+    def test_a_numeric_decision_is_rejected(self):
+        rule_set = induce(flat_table([("a", "1"), ("b", "2")]))
+        data = flat_table([("a", 1), ("b", 2)], kinds=["discrete", "numeric"])
+        with pytest.raises(DataError, match="classification requires discrete decision"):
+            evaluate(rule_set, data)
+
+
+def first_match_accuracy(rule_set, data):
+    """The share of `data.records` whose decision `first_match` reproduces."""
+    names = [column_name(a, t) for a, t in data.condition_columns]
+    hits = 0
+    for record in data.records:
+        mapping = dict(zip(names, record))
+        hits += first_match(rule_set.rules, rule_set.default_class, mapping) == record[-1]
+    return hits / data.n
+
+
+def held_out(schema, rows):
+    """The w=1 window of `rows`, whose decision is the last attribute."""
+    spec = TemporalisationSpec(w=1, pos=1, d=schema[-1].name)
+    return temporalise(spec, from_rows(schema, rows))
+
+
+class TestRootScoring:
+    # `evaluate` scores the root from counts; each case must agree with a
+    # record-by-record walk of the tree and with a scan of the rule list.
+    # The held-out windows list their symbols and classes in another
+    # order than training does, so a code means something else in each.
+
+    def assert_oracles_agree(self, train, data, expected):
+        rule_set = induce(train)
+        assert evaluate(rule_set, data) == expected
+        assert ReferenceTree(train).accuracy(data) == expected
+        assert first_match_accuracy(rule_set, data) == expected
+
+    def test_a_root_with_leaf_and_subtree_children(self):
+        # c0=p says A, c0=r says B, and c0=q asks c1
+        rows = [("p", "x", "A"), ("p", "y", "A"), ("q", "x", "A"), ("q", "y", "B")]
+        train = flat_table((rows + [("r", "x", "B"), ("r", "y", "B")]) * 2)
+        root = induce(train).tree
+        assert root.attribute == "c0"
+        leaves = [isinstance(child, _Leaf) for child in root.branches.values()]
+        assert leaves == [True, False, True]
+        schema = (
+            AttributeSchema("c0", "discrete", ("s", "r", "q", "p")),
+            AttributeSchema("c1", "discrete", ("y", "x")),
+            AttributeSchema("k", "discrete", ("B", "A")),
+        )
+        rows = [
+            ("q", "x", "A"),
+            ("q", "y", "B"),
+            ("q", "x", "B"),
+            ("p", "y", "A"),
+            ("r", "x", "A"),
+            ("q", "y", "B"),
+            ("p", "x", "B"),
+            ("r", "y", "B"),
+        ]
+        self.assert_oracles_agree(train, held_out(schema, rows), 5 / 8)
+        self.assert_oracles_agree(train, train, 1.0)
+
+    def test_an_unseen_root_symbol_scores_as_the_default_class(self):
+        train = flat_table([("p", "A"), ("p", "A"), ("q", "B"), ("r", "B"), ("r", "B")])
+        assert induce(train).default_class == "B"
+        schema = (
+            AttributeSchema("c0", "discrete", ("s", "q", "p", "r")),
+            AttributeSchema("k", "discrete", ("A", "B")),
+        )
+        rows = [("s", "B"), ("s", "B"), ("s", "A"), ("p", "A"), ("q", "A")]
+        self.assert_oracles_agree(train, held_out(schema, rows), 3 / 5)
+
+    def test_a_single_leaf_root(self):
+        train = flat_table([("A",), ("B",), ("B",)], names=["k"])
+        rule_set = induce(train)
+        assert isinstance(rule_set.tree, _Leaf) and rule_set.tree.value == "B"
+        schema = (AttributeSchema("k", "discrete", ("A", "C", "B")),)
+        rows = [("A",), ("B",), ("C",), ("B",)]
+        self.assert_oracles_agree(train, held_out(schema, rows), 2 / 4)
+        self.assert_oracles_agree(train, train, 2 / 3)
 
 
 class TestOracleAgreement:
