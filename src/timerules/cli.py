@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args
 
@@ -220,26 +220,28 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    # RunSpec checks no value against the data, so its flags are checked
+    # before the file is read; the decision and the default test count
+    # come from the file
+    with _checking_arguments():
+        spec = RunSpec(
+            d="",
+            alpha=args.min_window,
+            beta=args.max_window,
+            ac_th=args.threshold,
+            cl=args.confidence,
+            preference=args.preference.replace("-", "_"),
+            test_count=0 if args.test_count is None else args.test_count,
+            accuracy_mode=args.accuracy_mode,
+            interval_method=args.interval_method,
+        )
     data = load_csv(args.data, header_mode=args.header_mode)
-    test_count = args.test_count if args.test_count is not None else data.n // 5
+    if args.test_count is None:
+        spec = replace(spec, test_count=data.n // 5)
     attributes = (
         list(data.attribute_names) if args.all_attributes else [args.decision]
     )
-    with _checking_arguments():
-        specs = [
-            RunSpec(
-                d=name,
-                alpha=args.min_window,
-                beta=args.max_window,
-                ac_th=args.threshold,
-                cl=args.confidence,
-                preference=args.preference.replace("-", "_"),
-                test_count=test_count,
-                accuracy_mode=args.accuracy_mode,
-                interval_method=args.interval_method,
-            )
-            for name in attributes
-        ]
+    specs = [replace(spec, d=name) for name in attributes]
     workers, warning = worker_count(
         os.environ.get("TIMERULES_MAX_WORKERS"), os.cpu_count()
     )

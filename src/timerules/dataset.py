@@ -10,10 +10,14 @@ one pair of methods: `codes(key)` and `counts(key, start, stop)`. An
 attribute name keys each value's code (its domain index, or its rank
 among the sequence's sorted distinct numbers), and a (decision,
 attribute, row offset) key the pair codes `value_code * C +
-class_code`. How often each code occurs in a whole array is cached
-too, so a slice's counts are the whole array's minus its few excluded
-rows. Every window of a sweep slices the same cached codes and counts,
-which live as long as the sequence does.
+class_code`. A pair array is built with integer arithmetic in C, not
+row by row: the value codes and the class codes are each read as one
+big integer, a fixed-width lane per row, wide enough for V * C codes
+when the attribute takes V values, so `values * C + classes` gives
+every row's pair code at once. How often each code occurs in a whole
+array is cached too, so a slice's counts are the whole array's minus
+its few excluded rows. Every window of a sweep slices the same cached
+codes and counts, which live as long as the sequence does.
 """
 
 from __future__ import annotations
@@ -22,10 +26,9 @@ import csv
 import math
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 from pathlib import Path
 from typing import Iterable, Literal, Sequence, get_args
 
@@ -41,9 +44,9 @@ _CODE_TYPES = [(1 << 8 * array(t).itemsize, t) for t in "BHIQ"]
 CodeKey = str | tuple[str, str, int]
 
 
-def _code_array(codes: Iterable[int], count: int) -> array:
-    """`codes`, each below `count`, in the narrowest unsigned array type."""
-    return array(next(t for limit, t in _CODE_TYPES if count <= limit), codes)
+def _code_type(count: int) -> str:
+    """The narrowest unsigned array typecode that holds codes below `count`."""
+    return next(t for limit, t in _CODE_TYPES if count <= limit)
 
 
 class DataError(ValueError):
@@ -145,17 +148,26 @@ class EventSequence:
                 domain = self.schema[j].domain
                 symbols = domain if domain is not None else sorted(set(column))
                 code = {value: k for k, value in enumerate(symbols)}
-                codes = _code_array(map(code.__getitem__, column), len(code))
+                codes = array(_code_type(len(symbols)), map(code.__getitem__, column))
+                self._value_limits[key] = len(symbols)
             else:
                 decision, attribute, offset = key
-                width = len(self.attribute(decision).domain)
+                classes = len(self.attribute(decision).domain)
                 values = self.codes(attribute)
-                first, last = max(0, -offset), min(self.n, self.n - offset)
-                partners = map(width.__mul__, values[first + offset : last + offset])
-                codes = _code_array(
-                    map(add, partners, self.codes(decision)[first:last]),
-                    (max(values, default=0) + 1) * width,
+                lane = _code_type(self._value_limits[attribute] * classes)
+                first, count = max(0, -offset), max(0, self.n - abs(offset))
+                partners = array(lane, values[first + offset : first + offset + count])
+                decisions = array(lane, self.codes(decision)[first : first + count])
+                # each array read as one integer with a lane per row; for V
+                # value codes and C classes a lane's value_code * C +
+                # class_code is at most V * C - 1, which the lane type
+                # holds, so no lane carries into the next, and one byte
+                # order on both sides holds on either endianness
+                pairs = (
+                    int.from_bytes(partners, sys.byteorder) * classes
+                    + int.from_bytes(decisions, sys.byteorder)
                 )
+                codes = array(lane, pairs.to_bytes(count * partners.itemsize, sys.byteorder))
             self._codes[key] = codes
         return codes
 
@@ -193,6 +205,15 @@ class EventSequence:
     @cached_property
     def _counts(self) -> dict[CodeKey, Counter]:
         """Whole-array counts of each array `_codes` holds, under the same key."""
+        return {}
+
+    @cached_property
+    def _value_limits(self) -> dict[str, int]:
+        """How many value codes each attribute `_codes` holds can take.
+
+        A discrete attribute's is its domain's size, a numeric one's its
+        count of distinct values; its codes all lie below it.
+        """
         return {}
 
     @property
@@ -263,15 +284,11 @@ def write_csv(path: str | Path, header: Sequence[str] | None, rows: Iterable) ->
         writer.writerows([format_cell(value) for value in row] for row in rows)
 
 
-def _parse_number(token: str) -> int | float | None:
+def _parse_number(token: str) -> int | float:
     try:
         return int(token)
     except ValueError:
-        pass
-    try:
         return float(token)
-    except ValueError:
-        return None
 
 
 def _not_finite(token: str) -> str:
@@ -301,8 +318,18 @@ def _infer_column(
     # int() and float() also read `1_0` and non-ASCII digits such as `٣`,
     # which a CSV means as symbols
     if text.isascii() and "_" not in text:
-        numbers = [None if t == MISSING_TOKEN else _parse_number(t) for t in tokens]
-        if numbers.count(None) == len(tokens) - len(observed):  # every cell parsed
+        try:
+            return AttributeSchema(name, "numeric"), tuple(map(int, tokens))
+        except ValueError:  # a float, a symbol, "?" or an over-long integer
+            pass
+        try:
+            # float() reads every number int() does; the deque drains the
+            # map, which stops at the first symbol
+            deque(map(float, observed), maxlen=0)
+        except ValueError:
+            pass
+        else:
+            numbers = [None if t == MISSING_TOKEN else _parse_number(t) for t in tokens]
             for i, value in enumerate(numbers):
                 if isinstance(value, float) and not math.isfinite(value):
                     raise DataError(

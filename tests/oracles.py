@@ -8,6 +8,8 @@ principles so the checks stay two-sided.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from collections import Counter
 
 from timerules.induction import Condition, Rule
@@ -62,6 +64,47 @@ def first_bad_record(schema, rows) -> str | None:
             elif value not in attribute.domain:
                 return f"record {i + 1}: {value!r} is outside the domain of {attribute.name}"
     return None
+
+
+# Python's literal grammar for int() and float(), restricted to ASCII digits
+# without "_" separators; nan and inf are spelled in any case
+INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+FLOAT_LITERAL = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.IGNORECASE,
+)
+
+
+def column_kind(tokens) -> tuple[str, object]:
+    """How a CSV column of stripped `tokens` must load: (kind, detail).
+
+    "?" is a missing cell. The column is numeric when every other token
+    is an int or float literal of the grammar above; an int literal
+    holds an int, any other a float. A numeric column in which some
+    literal reads as nan or an infinity, or an int literal has more
+    digits than Python reads, is "non-finite" with the index of the
+    first such token. Otherwise the column is discrete and holds its
+    tokens. At least one token must be observed. Returns ("numeric",
+    values), ("discrete", values) or ("non-finite", index); values hold
+    None for "?".
+    """
+    observed = [t for t in tokens if t != "?"]
+    assert observed, "a column needs an observed value"
+    if not all(FLOAT_LITERAL.fullmatch(t) for t in observed):
+        return "discrete", tuple(None if t == "?" else t for t in tokens)
+    values = []
+    for i, token in enumerate(tokens):
+        if token == "?":
+            values.append(None)
+        elif INT_LITERAL.fullmatch(token):
+            if len(token.lstrip("+-")) > sys.get_int_max_str_digits():
+                return "non-finite", i
+            values.append(int(token))
+        elif math.isfinite(value := float(token)):
+            values.append(value)
+        else:
+            return "non-finite", i
+    return "numeric", tuple(values)
 
 
 # The three definitions read rules that share one decision time.

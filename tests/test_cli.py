@@ -318,6 +318,14 @@ class TestAnalyze:
         assert code == 2
         assert "invalid arguments: window range" in err
 
+    def test_bad_flag_is_reported_before_the_file_is_read(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "analyze", "--data", str(tmp_path / "nope.csv"),
+            "--decision", "x", "--min-window", "0",
+        )
+        assert code == 2
+        assert "invalid arguments: window range" in err
+
     def test_value_error_inside_the_sweep_propagates(
         self, robot_csv, capsys, monkeypatch
     ):

@@ -2,9 +2,12 @@ import math
 import random
 import re
 import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from timerules.dataset import (
@@ -16,7 +19,7 @@ from timerules.dataset import (
     split_chronological,
 )
 
-from oracles import first_bad_record
+from oracles import column_kind, first_bad_record
 from tables import from_rows
 
 FOUR_RECORDS = "1,2,4,true\n2,3,5,true\n6,7,8,false\n5,2,3,true\n"
@@ -51,6 +54,32 @@ def planted_tables(draw):
         bad = BAD_NUMBER_CELLS if kinds[j] == "numeric" else BAD_SYMBOL_CELLS
         rows[i][j] = draw(st.sampled_from(bad))
     return schema, [tuple(row) for row in rows]
+
+
+LIMIT_DIGITS = sys.get_int_max_str_digits()
+NUMBER_TOKENS = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,6}", fullmatch=True),
+    st.from_regex(
+        r"[+-]?(?:[0-9]{1,4}\.[0-9]{0,3}|\.[0-9]{1,3})(?:[eE][+-]?[0-9]{1,3})?",
+        fullmatch=True,
+    ),
+    st.from_regex(r"[+-]?[0-9]{1,3}[eE][+-]?[0-9]{1,3}", fullmatch=True),
+    st.from_regex(re.compile(r"[+-]?(?:nan|inf|infinity)", re.IGNORECASE), fullmatch=True),
+    st.sampled_from(["?", "1" * (LIMIT_DIGITS + 1), "-" + "2" * (LIMIT_DIGITS + 5)]),
+)
+# int() or float() reads some of these, but a CSV means them as symbols
+SYMBOL_TOKENS = ("a", "e5", "1e", ".", "+", "1.2.3", "0x1f", "1_0", "1_0.5", "٣", "nan1")
+
+
+@st.composite
+def csv_columns(draw):
+    """The stripped tokens of one CSV column: numbers, "?" and symbols at any row."""
+    tokens = draw(st.lists(NUMBER_TOKENS, min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        tokens.insert(at, draw(st.sampled_from(SYMBOL_TOKENS)))
+    assume(set(tokens) != {"?"})
+    return tokens
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -188,6 +217,23 @@ class TestLoadCsv:
     def test_unknown_header_mode(self, tmp_path):
         with pytest.raises(ValueError):
             load_csv(write(tmp_path, "1\n"), header_mode="sideways")
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_columns())
+    @example(["1.5", "a"])
+    @example(["?", "2", "0.5", "-3e2", "b"])
+    def test_column_kind_and_values_agree_with_the_oracle(self, tokens):
+        kind, detail = column_kind(tokens)
+        with tempfile.TemporaryDirectory() as folder:
+            path = write(Path(folder), "x\n" + "\n".join(tokens) + "\n")
+            if kind == "non-finite":
+                with pytest.raises(DataError, match=f"row {detail + 2}, column 'x'"):
+                    load_csv(path)
+                return
+            data = load_csv(path)
+        assert data.schema[0].kind == kind
+        assert data.columns[0] == detail
+        assert list(map(type, data.columns[0])) == list(map(type, detail))
 
 
 class TestRoundTrip:
@@ -410,6 +456,67 @@ class TestEventSequence:
             assert list(data.codes(("y", "x", offset))[start:stop]) == codes
             got = data.counts(("y", "x", offset), start, stop)
             assert list(got.items()) == list(counts.items())
+
+
+def pair_codes_by_loop(data, decision, attribute, offset):
+    """`value_index * C + class_index` of each decision row that has a partner row."""
+    j = data.column_index(attribute)
+    values = data.columns[j]
+    symbols = data.schema[j].domain or sorted(set(values))
+    classes = data.attribute(decision).domain
+    decisions = data.columns[data.column_index(decision)]
+    return [
+        symbols.index(values[r + offset]) * len(classes) + classes.index(decisions[r])
+        for r in range(data.n)
+        if 0 <= r + offset < data.n
+    ]
+
+
+class TestPairCodeLanes:
+    """Pair codes at every lane width against a plain loop, offsets -3..3."""
+
+    def check(self, data, lane):
+        for offset in range(-3, 4):
+            key = ("c", "x", offset)
+            expected = pair_codes_by_loop(data, "c", "x", offset)
+            codes = data.codes(key)
+            assert codes.typecode == lane
+            assert list(codes) == expected
+            n = len(expected)
+            for start, stop in ((0, n), (2, n - 3), (n // 2, n // 2 + 5)):
+                got = data.counts(key, start, stop)
+                assert list(got.items()) == list(Counter(expected[start:stop]).items())
+
+    @pytest.mark.parametrize(
+        "values, classes, lane",
+        [(8, 8, "B"), (30, 9, "H"), (300, 9, "H"), (300, 300, "I")],
+    )
+    def test_numeric_values_and_many_classes(self, values, classes, lane):
+        rng = random.Random(values * classes)
+        n = 3 * max(values, classes)
+        # every value and class occurs; a numeric value's code is its rank
+        xs = [(i % values) * 0.5 - 7 for i in range(n)]
+        cs = [f"k{i % classes}" for i in range(n)]
+        rng.shuffle(xs)
+        rng.shuffle(cs)
+        schema = (
+            AttributeSchema("x", "numeric"),
+            AttributeSchema("c", "discrete", tuple(dict.fromkeys(cs))),
+        )
+        self.check(EventSequence(schema, (tuple(xs), tuple(cs))), lane)
+
+    def test_a_part_whose_domain_holds_unused_symbols(self):
+        # the tail uses 2 of x's 30 symbols and 2 of c's 9 classes, but its
+        # codes still index the whole domain, so its lanes are as wide
+        head = [(f"v{i % 30}", f"k{i % 9}") for i in range(300)]
+        tail = [(f"v{i % 2}", f"k{i % 4 // 2}") for i in range(40)]
+        schema = (
+            AttributeSchema("x", "discrete", tuple(f"v{i}" for i in range(30))),
+            AttributeSchema("c", "discrete", tuple(f"k{i}" for i in range(9))),
+        )
+        train, test = split_chronological(from_rows(schema, head + tail), len(tail))
+        self.check(train, "H")
+        self.check(test, "H")
 
 
 class TestAsDiscrete:
