@@ -242,6 +242,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         list(data.attribute_names) if args.all_attributes else [args.decision]
     )
     specs = [replace(spec, d=name) for name in attributes]
+    if args.out and len(specs) > 1:
+        # each report is written to <out>.<column>, which must stay one file name
+        for name in attributes:
+            if any(sep in name for sep in (os.sep, os.altsep) if sep):
+                raise DataError(
+                    f"column {name!r} holds a path separator, so it cannot name "
+                    f"its report files {args.out}.<column>.txt/.json"
+                )
     workers, warning = worker_count(
         os.environ.get("TIMERULES_MAX_WORKERS"), os.cpu_count()
     )

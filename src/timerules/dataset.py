@@ -138,7 +138,9 @@ class EventSequence:
         ascending values. (decision, attribute, offset) gives
         `value_code * C + class_code` for C classes, pairing decision row
         r with `attribute` at row r + offset, from row max(0, -offset),
-        the first that has such a partner.
+        the first that has such a partner. Its type holds V * C codes,
+        where V is the size of a discrete attribute's domain, or one more
+        than a numeric attribute's largest rank.
         """
         codes = self._codes.get(key)
         if codes is None:
@@ -149,12 +151,13 @@ class EventSequence:
                 symbols = domain if domain is not None else sorted(set(column))
                 code = {value: k for k, value in enumerate(symbols)}
                 codes = array(_code_type(len(symbols)), map(code.__getitem__, column))
-                self._value_limits[key] = len(symbols)
             else:
                 decision, attribute, offset = key
                 classes = len(self.attribute(decision).domain)
                 values = self.codes(attribute)
-                lane = _code_type(self._value_limits[attribute] * classes)
+                domain = self.attribute(attribute).domain
+                limit = len(domain) if domain is not None else max(values, default=-1) + 1
+                lane = _code_type(limit * classes)
                 first, count = max(0, -offset), max(0, self.n - abs(offset))
                 partners = array(lane, values[first + offset : first + offset + count])
                 decisions = array(lane, self.codes(decision)[first : first + count])
@@ -175,10 +178,11 @@ class EventSequence:
         """`Counter(codes(key)[start:stop])`, keys in the slice's first-appearance order.
 
         The whole array is counted once; a slice subtracts the rows it
-        excludes, which in a sweep are at most w - 1 at either end. Keys
-        keep the whole array's order, except that a key the head holds
-        moves to its first row in the slice, after the keys seen in the
-        slice before it.
+        excludes, which in a sweep are at most w - 1 at either end. A key
+        the slice holds but the head does not first appears in the slice
+        where it first appears in the whole array, so the whole array's
+        order holds after the last head key's first row in the slice, and
+        only the slice up to that row is read for order.
         """
         codes = self.codes(key)
         whole = self._counts.get(key)
@@ -190,11 +194,10 @@ class EventSequence:
             counts[code] -= 1
         for code in codes[stop:]:
             counts[code] -= 1
-        moved = set(head)
-        order = [code for code in whole if code not in moved]
-        firsts = sorted((codes.index(c, start, stop), c) for c in moved if counts[c])
-        for at, code in firsts:
-            order.insert(len(set(codes[start:at])), code)
+        last = max(
+            (codes.index(c, start, stop) for c in set(head) if counts[c]), default=start - 1
+        )
+        order = {**dict.fromkeys(codes[start : last + 1]), **whole}
         return {code: counts[code] for code in order if counts[code]}
 
     @cached_property
@@ -205,15 +208,6 @@ class EventSequence:
     @cached_property
     def _counts(self) -> dict[CodeKey, Counter]:
         """Whole-array counts of each array `_codes` holds, under the same key."""
-        return {}
-
-    @cached_property
-    def _value_limits(self) -> dict[str, int]:
-        """How many value codes each attribute `_codes` holds can take.
-
-        A discrete attribute's is its domain's size, a numeric one's its
-        count of distinct values; its codes all lie below it.
-        """
         return {}
 
     @property
@@ -393,8 +387,8 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
 def split_chronological(data: EventSequence, test_count: int) -> tuple[EventSequence, EventSequence]:
     """Split into (train, test): the test set is the chronological tail.
 
-    Each part's `first_missing_row` follows from the whole sequence's
-    where it can, so neither part scans its columns for `?` again.
+    Neither part of a sequence without `?` scans its columns for one
+    again; a part of one with `?` finds its own first missing row.
     """
     if test_count < 0:
         raise DataError(f"test_count must be non-negative, got {test_count}")
@@ -405,14 +399,9 @@ def split_chronological(data: EventSequence, test_count: int) -> tuple[EventSequ
     cut = data.n - test_count
     train = EventSequence(data.schema, tuple(c[:cut] for c in data.columns))
     test = EventSequence(data.schema, tuple(c[cut:] for c in data.columns))
-    # each part takes its share of the whole's first missing row instead of
-    # scanning itself; only a test part after a missing train row must scan
-    row = data.first_missing_row
-    if row is None or row >= cut:
-        vars(train)["first_missing_row"] = None
-        vars(test)["first_missing_row"] = None if row is None else row - cut
-    else:
-        vars(train)["first_missing_row"] = row
+    if data.first_missing_row is None:
+        for part in (train, test):
+            vars(part)["first_missing_row"] = None
     return train, test
 
 

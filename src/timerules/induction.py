@@ -317,7 +317,7 @@ class _TreeBuilder:
         live = [c for c in live if c is not column]
         domain = column.domain
         impure = [domain[code] for code, group in children.items() if len(group) > 1]
-        rows = _group(column.values, indices, impure) if impure else {}
+        rows = _group(column.values, indices, impure)[0] if impure else {}
         majority = self.majority(counts)
         branches = {}
         for code, symbol in enumerate(domain):
@@ -410,14 +410,16 @@ class _TreeBuilder:
         return best, live
 
 
-def _group(values: Sequence, indices: Iterable[int], symbols: Iterable) -> dict:
-    """The rows of `indices` whose value is each of `symbols`, by symbol."""
-    rows = {symbol: [] for symbol in symbols}
+def _group(values: Sequence, indices: Iterable[int], symbols: Iterable) -> tuple[dict, list]:
+    """The rows of `indices` whose value is each of `symbols`, by symbol, and the rest.
+
+    Both keep the order of `indices`, and the groups that of `symbols`.
+    """
+    rows: dict = {symbol: [] for symbol in symbols}
+    rest: list[int] = []
     for i in indices:
-        group = rows.get(values[i])
-        if group is not None:
-            group.append(i)
-    return rows
+        rows.get(values[i], rest).append(i)
+    return rows, rest
 
 
 def _leaves(node, columns: Mapping, indices: list[int]):
@@ -432,10 +434,7 @@ def _leaves(node, columns: Mapping, indices: list[int]):
     column = columns[node.attribute, node.time]
     threshold = node.threshold
     if threshold is None:
-        groups: dict = {symbol: [] for symbol in node.branches}
-        stray: list[int] = []
-        for i in indices:
-            groups.get(column[i], stray).append(i)
+        groups, stray = _group(column, indices, node.branches)
         if stray:
             yield None, stray
         parts = groups.values()
@@ -533,7 +532,7 @@ def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     columns = {key: data.column(key) for key in rule_set.tested}
     decisions = data.column(data.decision_column)
     if subtrees:
-        rows = _group(columns[tree.attribute, tree.time], range(data.n), subtrees)
+        rows, _ = _group(columns[tree.attribute, tree.time], range(data.n), subtrees)
         routed = [(subtrees[symbol], group) for symbol, group in rows.items()]
     else:
         routed = [(tree, list(range(data.n)))]

@@ -220,6 +220,23 @@ class TestAnalyze:
         ]
         assert len(verdicts) == 3
 
+    def test_column_name_with_a_path_separator_is_rejected_before_any_sweep(
+        self, tmp_path, capsys
+    ):
+        # the report files would be r.a/b.txt and r.a/b.json
+        path = tmp_path / "slash.csv"
+        rows = "".join(f"{i % 3},{'ab'[i % 2]}\n" for i in range(30))
+        path.write_text("a/b,c\n" + rows, encoding="utf-8")
+        (tmp_path / "r.a").mkdir()
+        code, stdout, err = run(
+            capsys, "analyze", "--data", str(path), "--all-attributes",
+            "--max-window", "2", "--out", str(tmp_path / "r"),
+        )
+        assert code == 3
+        assert "column 'a/b' holds a path separator" in err
+        assert stdout == ""  # no sweep ran
+        assert list((tmp_path / "r.a").iterdir()) == []
+
     def test_no_verdict_still_exits_zero(self, robot_csv, capsys):
         code, stdout, _ = run(
             capsys, "analyze", "--data", str(robot_csv), "--decision", "x",

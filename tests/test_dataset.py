@@ -489,7 +489,11 @@ class TestPairCodeLanes:
 
     @pytest.mark.parametrize(
         "values, classes, lane",
-        [(8, 8, "B"), (30, 9, "H"), (300, 9, "H"), (300, 300, "I")],
+        # V * C = 256 is the most one byte's lanes hold, and 264 is past it
+        [
+            (8, 8, "B"), (32, 8, "B"), (33, 8, "H"),
+            (30, 9, "H"), (300, 9, "H"), (300, 300, "I"),
+        ],
     )
     def test_numeric_values_and_many_classes(self, values, classes, lane):
         rng = random.Random(values * classes)
