@@ -38,15 +38,16 @@ insert in first-appearance order, so every entropy term is summed in
 the order a row-by-row scan gives.
 
 The sweep needs only a tree's leaf count, the columns it tests and its
-accuracy. `size`, `tested` and `numeric` come from one cached walk of
-the tree, and `Rule`/`Condition` objects are built only when `rules` or
-`render` is read. Evaluation scores the root from the window's counts,
-as the learner does: a leaf root from the class counts, a discrete root
-from its column's pair counts, where a value whose branch is a leaf, or
-which has no branch, scores all its rows at once. Only the other rows
-are routed down the tree column by column, and only they make it fetch
-the tested columns and the decision column, which no tree of a period-8
-series does.
+accuracy. The learner tallies them as it grows the tree: training rows
+never stray, so each leaf's hits on its window are known when it is made
+(C4.5's "(N/E)" leaf annotation), and `Rule`/`Condition` objects are
+built only when `rules` or `render` is read. Evaluating the tree's own
+window returns that tally. Any other window's root is scored from its
+counts, as the learner does: a leaf root from the class counts, a
+discrete root from its column's pair counts, where a value whose branch
+is a leaf, or which has no branch, scores all its rows at once. Only
+the other rows are routed down the tree column by column, and only they
+make it fetch the tested columns and the decision column.
 """
 
 from __future__ import annotations
@@ -113,19 +114,25 @@ class RuleSet:
     """One induced tree, read as the rule set of its root-to-leaf paths.
 
     `classify` routes a record down the tree and `evaluate` scores a
-    window. `size` (its leaf count), `tested` (the (attribute, time)
-    columns its splits test) and `numeric` (those tested against a
-    threshold) are read off the tree without building rules. `rules` are
-    its leaf paths in extraction order (discrete branches in domain
-    order, a numeric split's low side first), so exactly one rule holds
-    for each record the tree covers; every leaf is one rule and every
-    split's column is tested by the rules below it.
+    window. The learner tallies, as it grows the tree, its `size` (leaf
+    count), the (attribute, time) columns its splits test, those of them
+    tested against a threshold, and its hits on `train`, the window it
+    was grown on. `rules` are its leaf paths in extraction order
+    (discrete branches in domain order, a numeric split's low side
+    first), so exactly one rule holds for each record the tree covers;
+    every leaf is one rule and every split's column is tested by the
+    rules below it.
     """
 
     tree: object = field(repr=False)
     default_class: object
     decision_attribute: str
     decision_time: int
+    size: int
+    tested: frozenset[tuple[str, int]]
+    numeric: frozenset[tuple[str, int]]
+    training_hits: int
+    train: TemporalisedDataset = field(repr=False, compare=False)
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
@@ -133,36 +140,6 @@ class RuleSet:
             Rule(conditions, self.decision_attribute, self.decision_time, value)
             for conditions, value in _extract_rules(self.tree)
         )
-
-    @cached_property
-    def _shape(self) -> tuple[int, frozenset, frozenset]:
-        leaves = 0
-        tested = set()
-        numeric = set()
-        stack = [self.tree]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Leaf):
-                leaves += 1
-                continue
-            tested.add((node.attribute, node.time))
-            if node.threshold is not None:
-                numeric.add((node.attribute, node.time))
-            stack += node.branches.values()
-        return leaves, frozenset(tested), frozenset(numeric)
-
-    @property
-    def size(self) -> int:
-        return self._shape[0]
-
-    @property
-    def tested(self) -> frozenset[tuple[str, int]]:
-        return self._shape[1]
-
-    @property
-    def numeric(self) -> frozenset[tuple[str, int]]:
-        """The tested columns that a split tests against a threshold."""
-        return self._shape[2]
 
     def render(self) -> str:
         return "\n".join(rule.render() for rule in self.rules)
@@ -244,7 +221,10 @@ class _TreeBuilder:
     Classes are coded by their index in the decision domain, which is
     also the majority tie-break order. The root reads its window's
     counts; any other node counts its rows' pair codes per live column,
-    fetched from the window on first use, as are the class codes.
+    fetched from the window on first use, as are the class codes. It
+    tallies the tree's leaves, its training misses and the columns its
+    splits test. Only a leaf with no live column misses: the others are
+    pure or, on an empty branch, hold no training row.
     """
 
     def __init__(self, train: TemporalisedDataset):
@@ -257,6 +237,10 @@ class _TreeBuilder:
         # column scan order fixes gain-ratio ties: lowest (attribute, time) wins
         columns.sort(key=lambda c: (c.attribute, c.time))
         self.columns = columns
+        self.leaves = 1  # a split with k branches turns a leaf into k
+        self.misses = 0
+        self.tested: set[tuple[str, int]] = set()
+        self.numeric: set[tuple[str, int]] = set()
 
     @cached_property
     def class_codes(self) -> list[int]:
@@ -291,10 +275,15 @@ class _TreeBuilder:
             indices, counts, _entropy(counts.values(), len(indices)), columns
         )
         if best is None:
+            self.misses += len(indices) - max(counts.values())
             return _Leaf(self.majority(counts))
 
         column, cut, children = best
+        key = (column.attribute, column.time)
+        self.tested.add(key)
         if column.domain is None:
+            self.numeric.add(key)
+            self.leaves += 1
             values = column.values
             ordered = sorted(indices, key=values.__getitem__)
             low, high = ordered[:cut], ordered[cut:]
@@ -316,6 +305,7 @@ class _TreeBuilder:
         # each child holds one value of the split column
         live = [c for c in live if c is not column]
         domain = column.domain
+        self.leaves += len(domain) - 1
         impure = [domain[code] for code, group in children.items() if len(group) > 1]
         rows = _group(column.values, indices, impure)[0] if impure else {}
         majority = self.majority(counts)
@@ -468,12 +458,17 @@ def induce(train: TemporalisedDataset) -> RuleSet:
     builder = _TreeBuilder(train)
     d, pos = train.decision_column
     counts = train.counts(train.decision_column)
-    root = range(train.n)
+    tree = builder._pure_leaf(counts) or builder.build(range(train.n), builder.columns, counts)
     return RuleSet(
-        tree=builder._pure_leaf(counts) or builder.build(root, builder.columns, counts),
+        tree=tree,
         default_class=builder.majority(counts),
         decision_attribute=d,
         decision_time=pos,
+        size=builder.leaves,
+        tested=frozenset(builder.tested),
+        numeric=frozenset(builder.numeric),
+        training_hits=train.n - builder.misses,
+        train=train,
     )
 
 
@@ -499,10 +494,11 @@ def classify(rule_set: RuleSet, record: Mapping[str, object]) -> object:
 def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     """Fraction of records whose recorded decision the rule set reproduces.
 
-    The root is scored from `data`'s counts, whose codes are read through
-    `data`'s own domains; a stray scores as the default class. Only the
-    rows of a numeric root, or of a discrete root's non-leaf children,
-    are routed down the tree.
+    On the window the tree was grown on, this is the learner's tally of
+    its leaves' hits. On any other window the root is scored from `data`'s
+    counts, whose codes are read through `data`'s own domains; a stray
+    scores as the default class. Only the rows of a numeric root, or of a
+    discrete root's non-leaf children, are routed down the tree.
     """
     classes = _classes(data)
     _reject_missing_columns(rule_set.tested, data.condition_columns, "dataset")
@@ -512,6 +508,8 @@ def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
             test = "by symbol" if kind == "numeric" else "against a threshold"
             name = column_name(*key)
             raise DataError(f"dataset column {name} is {kind}, but the tree tests it {test}")
+    if data is rule_set.train:
+        return rule_set.training_hits / data.n
     tree, default = rule_set.tree, rule_set.default_class
     if isinstance(tree, _Leaf):
         counts = data.counts(data.decision_column)

@@ -157,6 +157,22 @@ def first_match(rules, default, record) -> object:
     return default
 
 
+def lookup_table_accuracy(window) -> float:
+    """The share of `window.records` a lookup table on their conditions gets right.
+
+    The table maps each distinct condition tuple to the decision it
+    occurs with most often, so it scores the largest class count of
+    every tuple. A tree grown until each node is pure or holds no live
+    column groups its training rows by their whole condition tuple,
+    whatever order it splits them in, so it scores the same.
+    """
+    counts = Counter((record[:-1], record[-1]) for record in window.records)
+    best: dict = {}
+    for (conditions, _), count in counts.items():
+        best[conditions] = max(best.get(conditions, 0), count)
+    return sum(best.values()) / len(window.records)
+
+
 def window_code_counts(window) -> tuple[list, dict]:
     """The (code, count) pairs of a window's class codes and of each column's pair codes.
 

@@ -39,6 +39,7 @@ from oracles import (
     best_tree_correct_count,
     condition_holds,
     first_match,
+    lookup_table_accuracy,
     window_code_counts,
 )
 from tables import from_rows
@@ -266,6 +267,24 @@ class TestCodeFetching:
                 fetched = Counter(call.args[1] for call in spy.call_args_list)
                 assert fetched and max(fetched.values()) == 1, (w, pos)
                 assert set(fetched) <= {train.decision_column, *train.condition_columns}
+
+    def test_the_training_window_is_scored_from_the_leaves(self):
+        # the learner tallies the tree's misses on its training window, so
+        # scoring that window routes no row, although this noise tree's
+        # root has impure children; an equal but distinct window is routed
+        rng = random.Random(5)
+        schema = tuple(AttributeSchema(name, "discrete", ("a", "b", "c")) for name in "uvc")
+        data = from_rows(schema, [[rng.choice("abc") for _ in "uvc"] for _ in range(300)])
+        spec = TemporalisationSpec(w=2, pos=2, d="c")
+        train = temporalise(spec, data)
+        rule_set = induce(train)
+        assert not all(isinstance(child, _Leaf) for child in rule_set.tree.branches.values())
+        with spy_codes() as codes, spy_column() as column:
+            accuracy = evaluate(rule_set, train)
+        assert codes.call_count == column.call_count == 0
+        with spy_column() as column:
+            assert evaluate(rule_set, temporalise(spec, data)) == accuracy
+        assert column.call_count > 0
 
 
 class TestPureChildren:
@@ -665,6 +684,17 @@ class TestOracleAgreement:
             oracle = best_tree_correct_count(rows, m) / len(rows)
             assert accuracy == oracle
 
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(tables=random_tables())
+    def test_training_accuracy_is_a_lookup_tables(self, tables):
+        # the tree grows until every node is pure or has no live column
+        train = tables[0]
+        assert evaluate(induce(train), train) == lookup_table_accuracy(train)
+
 
 class TestRendering:
     def test_rule_line_format(self):
@@ -745,6 +775,9 @@ class TestRuleSetInvariants:
         tested = {(c.attribute, c.time) for rule in rules for c in rule.conditions}
         assert rule_set.size == len(rules)
         assert rule_set.tested == tested
+        assert rule_set.numeric == {
+            (c.attribute, c.time) for rule in rules for c in rule.conditions if c.op != "="
+        }
         if tested:
             times = [t for _, t in rule_set.tested]
             assert classify_times(times, rule_set.decision_time) == classify_rule_set(rules)
