@@ -26,7 +26,7 @@ import csv
 import math
 import sys
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -71,6 +71,9 @@ class AttributeSchema:
             raise DataError(f"discrete attribute {self.name!r} has an empty domain")
         if self.kind == "numeric" and self.domain is not None:
             raise DataError(f"numeric attribute {self.name!r} cannot carry a domain")
+        if self.domain is not None and len(set(self.domain)) < len(self.domain):
+            symbol = next(s for k, s in enumerate(self.domain) if s in self.domain[:k])
+            raise DataError(f"discrete attribute {self.name!r} repeats the symbol {symbol!r}")
 
 
 @dataclass(frozen=True)
@@ -316,14 +319,11 @@ def _infer_column(
             return AttributeSchema(name, "numeric"), tuple(map(int, tokens))
         except ValueError:  # a float, a symbol, "?" or an over-long integer
             pass
-        try:
-            # float() reads every number int() does; the deque drains the
-            # map, which stops at the first symbol
-            deque(map(float, observed), maxlen=0)
+        try:  # raises at the first symbol, so the column is discrete
+            numbers = [None if t == MISSING_TOKEN else _parse_number(t) for t in tokens]
         except ValueError:
             pass
         else:
-            numbers = [None if t == MISSING_TOKEN else _parse_number(t) for t in tokens]
             for i, value in enumerate(numbers):
                 if isinstance(value, float) and not math.isfinite(value):
                     raise DataError(

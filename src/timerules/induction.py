@@ -10,21 +10,22 @@ the rule set: its root-to-leaf paths, read off on demand, are the rules,
 all sharing one decision column. A record is classified by the one leaf
 it reaches; a symbol no branch covers sends it to the default class.
 
-The learner reads the training window one keyed column at a time and
-scores splits from its `codes` and `counts` only: the decision column
-gives each row's class code, and a condition column its small-int pair
-codes, `value_code * C + class_code` for C classes, where a numeric
-value's code is its rank among the source sequence's sorted distinct
-values (the presorting idea of C4.5 and SPRINT). The window slices them
-from the codes its source sequence caches, so the learner does no
-window arithmetic of its own. A node counts its rows' pair codes per
-column in one pass and scores every candidate split from those counts
-alone, and the winning split hands back each child's class counts (as
-C4.5 knows a child's class distribution once the split is scored). A
-child whose counts hold one class becomes a leaf at once, with no row
-list and no recount. A discrete split groups only its impure children's
-rows, and each inherits its counts, which are in its own
-first-appearance order. The root, the only node holding every row,
+The learner names a column only by its (attribute, time) key and reads
+the training window through two maps from keys, filled on first use:
+one gives a column's codes, the other its values. The decision column's
+codes are its rows' class codes, and a condition column's are small-int
+pair codes, `value_code * C + class_code` for C classes, where a
+numeric value's code is its rank among the source sequence's sorted
+distinct values (the presorting idea of C4.5 and SPRINT). The window
+slices them from the codes its source sequence caches, so the learner
+does no window arithmetic of its own. A node counts its rows' pair
+codes per column in one pass and scores every candidate split from
+those counts alone, and the winning split hands back each child's class
+counts (as C4.5 knows a child's class distribution once the split is
+scored). A child whose counts hold one class becomes a leaf at once,
+with no row list and no recount. A discrete split groups only its
+impure children's rows, and each inherits its counts, which are in its
+own first-appearance order. The root, the only node holding every row,
 reads its window's counts, so a code list is fetched only when a node
 below the root first scans it, and a column's values only when a split
 on it sorts rows (numeric) or groups impure children's rows.
@@ -46,8 +47,8 @@ window returns that tally. Any other window's root is scored from its
 counts, as the learner does: a leaf root from the class counts, a
 discrete root from its column's pair counts, where a value whose branch
 is a leaf, or which has no branch, scores all its rows at once. Only
-the other rows are routed down the tree column by column, and only they
-make it fetch the tested columns and the decision column.
+the other rows are routed down the tree, through the same kind of map,
+so only the columns they reach, and the decision column, are fetched.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dataset import DataError
 from .temporalise import TemporalisedDataset, column_name
@@ -153,8 +154,7 @@ class _Leaf:
 
 @dataclass(slots=True)
 class _Split:
-    attribute: str
-    time: int
+    key: tuple[str, int]  # the tested column, (attribute, time)
     threshold: float | None  # None for a discrete split
     # discrete: every domain symbol -> child, in domain order;
     # numeric: {False: low, True: high}, keyed by `value > threshold`
@@ -177,28 +177,16 @@ def _entropy(counts: Iterable[int], total: int) -> float:
     return h
 
 
-@dataclass(frozen=True, eq=False)  # by identity: never hash the window
-class _Column:
-    """One column of the training window `window`; `domain` is None if numeric.
+class _Fetched(dict):
+    """A map from column keys to `fetch(key)`, each fetched on its first lookup."""
 
-    `pairs[i]` is `value_code * class_count + class_code` of row i,
-    fetched by the first node below the root that scans the column;
-    ascending value codes are ascending values. `values[i]` is row i's
-    value, fetched by the first split on the column that sorts or groups rows.
-    """
+    def __init__(self, fetch: Callable[[tuple[str, int]], Sequence]):
+        super().__init__()
+        self.fetch = fetch
 
-    attribute: str
-    time: int
-    domain: tuple[str, ...] | None
-    window: TemporalisedDataset
-
-    @cached_property
-    def pairs(self) -> list[int]:
-        return self.window.codes((self.attribute, self.time))
-
-    @cached_property
-    def values(self) -> tuple[object, ...]:
-        return self.window.column((self.attribute, self.time))
+    def __missing__(self, key: tuple[str, int]) -> Sequence:
+        value = self[key] = self.fetch(key)
+        return value
 
 
 def _count(codes: Sequence[int], indices: list[int]) -> dict[int, int]:
@@ -219,9 +207,11 @@ class _TreeBuilder:
     """Gain-ratio tree growth over integer-coded training columns.
 
     Classes are coded by their index in the decision domain, which is
-    also the majority tie-break order. The root reads its window's
-    counts; any other node counts its rows' pair codes per live column,
-    fetched from the window on first use, as are the class codes. It
+    also the majority tie-break order. A column is its (attribute, time)
+    key, scanned as a `(key, domain)` pair whose domain is None if the
+    column is numeric. `codes[key]` and `values[key]` fetch the window's
+    codes and values on first lookup. The root reads its window's
+    counts; any other node counts its rows' codes per live column. It
     tallies the tree's leaves, its training misses and the columns its
     splits test. Only a leaf with no live column misses: the others are
     pure or, on an empty branch, hold no training row.
@@ -230,21 +220,17 @@ class _TreeBuilder:
     def __init__(self, train: TemporalisedDataset):
         self.train = train
         self.classes = _classes(train)
-        columns = [
-            _Column(attr, time, train.source.attribute(attr).domain, train)
-            for attr, time in train.condition_columns
-        ]
         # column scan order fixes gain-ratio ties: lowest (attribute, time) wins
-        columns.sort(key=lambda c: (c.attribute, c.time))
-        self.columns = columns
+        self.columns = [
+            (key, train.source.attribute(key[0]).domain)
+            for key in sorted(train.condition_columns)
+        ]
+        self.codes = _Fetched(train.codes)
+        self.values = _Fetched(train.column)
         self.leaves = 1  # a split with k branches turns a leaf into k
         self.misses = 0
         self.tested: set[tuple[str, int]] = set()
         self.numeric: set[tuple[str, int]] = set()
-
-    @cached_property
-    def class_codes(self) -> list[int]:
-        return self.train.codes(self.train.decision_column)
 
     def majority(self, counts: dict[int, int]) -> object:
         best = max(counts.values())
@@ -253,7 +239,7 @@ class _TreeBuilder:
     def build(
         self,
         indices: Sequence[int],
-        columns: list[_Column],
+        columns: list[tuple],
         counts: dict[int, int] | None = None,
     ):
         """The subtree over rows `indices`, scanning only `columns`.
@@ -270,7 +256,7 @@ class _TreeBuilder:
         either side, or overflow.
         """
         if counts is None:
-            counts = _count(self.class_codes, indices)
+            counts = _count(self.codes[self.train.decision_column], indices)
         best, live = self._best_split(
             indices, counts, _entropy(counts.values(), len(indices)), columns
         )
@@ -278,13 +264,12 @@ class _TreeBuilder:
             self.misses += len(indices) - max(counts.values())
             return _Leaf(self.majority(counts))
 
-        column, cut, children = best
-        key = (column.attribute, column.time)
+        (key, domain), cut, children = best
         self.tested.add(key)
-        if column.domain is None:
+        if domain is None:
             self.numeric.add(key)
             self.leaves += 1
-            values = column.values
+            values = self.values[key]
             ordered = sorted(indices, key=values.__getitem__)
             low, high = ordered[:cut], ordered[cut:]
             below, above = values[low[-1]], values[high[0]]
@@ -301,13 +286,12 @@ class _TreeBuilder:
                 False: self._pure_leaf(low_counts) or self.build(low, live),
                 True: self._pure_leaf(high_counts) or self.build(high, live),
             }
-            return _Split(column.attribute, column.time, threshold, branches)
+            return _Split(key, threshold, branches)
         # each child holds one value of the split column
-        live = [c for c in live if c is not column]
-        domain = column.domain
+        live = [column for column in live if column[0] != key]
         self.leaves += len(domain) - 1
         impure = [domain[code] for code, group in children.items() if len(group) > 1]
-        rows = _group(column.values, indices, impure)[0] if impure else {}
+        rows = _group(self.values[key], indices, impure)[0] if impure else {}
         majority = self.majority(counts)
         branches = {}
         for code, symbol in enumerate(domain):
@@ -317,7 +301,7 @@ class _TreeBuilder:
                 if group is None
                 else self._pure_leaf(group) or self.build(rows[symbol], live, group)
             )
-        return _Split(column.attribute, column.time, None, branches)
+        return _Split(key, None, branches)
 
     def _pure_leaf(self, counts: dict[int, int]) -> _Leaf | None:
         """The leaf of the one class `counts` hold, or None if they hold more."""
@@ -326,7 +310,7 @@ class _TreeBuilder:
         return None
 
     def _best_split(self, indices, counts, parent_entropy, columns):
-        """The winning (column, cut, children) at this node, or None, and the live columns.
+        """The winning ((key, domain), cut, children), or None, and the live columns.
 
         The live columns are those of `columns` with at least two
         distinct values on `indices`, in scan order. Floating-point terms
@@ -346,14 +330,15 @@ class _TreeBuilder:
         width = len(self.classes)
         root = isinstance(indices, range)
         best = None
-        best_key = (-1, -math.inf)  # (positive-gain flag, gain ratio)
+        best_score = (-1, -math.inf)  # (positive-gain flag, gain ratio)
         live = []
         for column in columns:
+            key, domain = column
             by_value: dict = {}
             if root:
-                pair_counts = self.train.counts((column.attribute, column.time))
+                pair_counts = self.train.counts(key)
             else:
-                pair_counts = _count(column.pairs, indices)
+                pair_counts = _count(self.codes[key], indices)
             for pair, c in pair_counts.items():
                 value, klass = divmod(pair, width)
                 group = by_value.get(value)
@@ -364,7 +349,7 @@ class _TreeBuilder:
             if len(by_value) < 2:
                 continue
             live.append(column)
-            if column.domain is not None:
+            if domain is not None:
                 children = 0.0
                 split_info = 0.0
                 for group in by_value.values():
@@ -373,9 +358,9 @@ class _TreeBuilder:
                     children += p * _entropy(group.values(), size)
                     split_info -= p * math.log2(p)
                 gain = parent_entropy - children
-                key = (1 if gain > _GAIN_EPS else 0, gain / split_info)
-                if key > best_key:
-                    best_key = key
+                score = (1 if gain > _GAIN_EPS else 0, gain / split_info)
+                if score > best_score:
+                    best_score = score
                     best = (column, None, by_value)
                 continue
             low: dict = {}
@@ -392,9 +377,9 @@ class _TreeBuilder:
                 )
                 gain = parent_entropy - children
                 split_info = -(p_low * math.log2(p_low) + p_high * math.log2(p_high))
-                key = (1 if gain > _GAIN_EPS else 0, gain / split_info)
-                if key > best_key:
-                    best_key = key
+                score = (1 if gain > _GAIN_EPS else 0, gain / split_info)
+                if score > best_score:
+                    best_score = score
                     high_counts = {k: c for k, c in zip(counts, high) if c > 0}
                     best = (column, cut, (dict(low), high_counts))
         return best, live
@@ -415,13 +400,13 @@ def _group(values: Sequence, indices: Iterable[int], symbols: Iterable) -> tuple
 def _leaves(node, columns: Mapping, indices: list[int]):
     """Yield (leaf value, rows reaching that leaf) for the rows `indices`.
 
-    `columns` maps (attribute, time) to a column. Rows whose symbol has
-    no branch leave the tree; they come first, with value None.
+    `columns` maps a column's key to its values. Rows whose symbol has no
+    branch leave the tree; they come first, with value None.
     """
     if isinstance(node, _Leaf):
         yield node.value, indices
         return
-    column = columns[node.attribute, node.time]
+    column = columns[node.key]
     threshold = node.threshold
     if threshold is None:
         groups, stray = _group(column, indices, node.branches)
@@ -444,12 +429,12 @@ def _extract_rules(node, path=()):
     if isinstance(node, _Leaf):
         yield path, node.value
         return
-    for key, child in node.branches.items():
+    for outcome, child in node.branches.items():
         if node.threshold is None:
-            condition = Condition(node.attribute, node.time, "=", key)
+            condition = Condition(*node.key, "=", outcome)
         else:
-            op = ">" if key else "<="
-            condition = Condition(node.attribute, node.time, op, node.threshold)
+            op = ">" if outcome else "<="
+            condition = Condition(*node.key, op, node.threshold)
         yield from _extract_rules(child, (*path, condition))
 
 
@@ -498,8 +483,14 @@ def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     its leaves' hits. On any other window the root is scored from `data`'s
     counts, whose codes are read through `data`'s own domains; a stray
     scores as the default class. Only the rows of a numeric root, or of a
-    discrete root's non-leaf children, are routed down the tree.
+    discrete root's non-leaf children, are routed down the tree, which
+    fetches only the columns they reach. `data` must decide the tree's
+    decision column and hold every column the tree tests, of its kind.
     """
+    decision = (rule_set.decision_attribute, rule_set.decision_time)
+    if data.decision_column != decision:
+        found, expected = column_name(*data.decision_column), column_name(*decision)
+        raise DataError(f"dataset decision column {found} is not the tree's, {expected}")
     classes = _classes(data)
     _reject_missing_columns(rule_set.tested, data.condition_columns, "dataset")
     for key in sorted(rule_set.tested):
@@ -517,8 +508,8 @@ def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     hits = 0
     subtrees = {}  # root symbol -> its non-leaf child
     if tree.threshold is None:
-        domain = data.source.attribute(tree.attribute).domain
-        for pair, c in data.counts((tree.attribute, tree.time)).items():
+        domain = data.source.attribute(tree.key[0]).domain
+        for pair, c in data.counts(tree.key).items():
             value, klass = divmod(pair, len(classes))
             child = tree.branches.get(domain[value])
             if isinstance(child, _Split):
@@ -527,10 +518,10 @@ def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
                 hits += c
         if not subtrees:
             return hits / data.n
-    columns = {key: data.column(key) for key in rule_set.tested}
+    columns = _Fetched(data.column)
     decisions = data.column(data.decision_column)
     if subtrees:
-        rows, _ = _group(columns[tree.attribute, tree.time], range(data.n), subtrees)
+        rows, _ = _group(columns[tree.key], range(data.n), subtrees)
         routed = [(subtrees[symbol], group) for symbol, group in rows.items()]
     else:
         routed = [(tree, list(range(data.n)))]

@@ -361,6 +361,12 @@ class TestEventSequence:
         with pytest.raises(DataError, match="empty domain"):
             AttributeSchema("x", "discrete", ())
 
+    def test_a_discrete_domain_that_repeats_a_symbol_is_rejected(self):
+        # the last "p" would code every p, so code 0 would code no value
+        # and a split on the attribute would count a branch no row reaches
+        with pytest.raises(DataError, match="'a' repeats the symbol 'p'"):
+            AttributeSchema("a", "discrete", ("p", "q", "p"))
+
     def test_values_must_conform_to_kind(self):
         numeric = (AttributeSchema("x", "numeric"),)
         with pytest.raises(DataError, match="expects a number"):

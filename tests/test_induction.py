@@ -286,6 +286,26 @@ class TestCodeFetching:
             assert evaluate(rule_set, temporalise(spec, data)) == accuracy
         assert column.call_count > 0
 
+    def test_evaluate_fetches_only_the_columns_routed_rows_reach(self):
+        # c0=p asks c1 and c0=q asks c2; every held-out row says c0=p, so
+        # routing them reads c0, c1 and the decisions, never c2
+        schema = (
+            AttributeSchema("c0", "discrete", ("p", "q")),
+            AttributeSchema("c1", "discrete", ("x", "y")),
+            AttributeSchema("c2", "discrete", ("x", "y")),
+            AttributeSchema("k", "discrete", ("A", "B", "C", "D")),
+        )
+        rows = [("p", c1, c2, "AB"[c1 == "y"]) for c1 in "xy" for c2 in "xy"]
+        rows += [("q", c1, c2, "CD"[c2 == "y"]) for c1 in "xy" for c2 in "xy"]
+        rule_set = induce(held_out(schema, rows))
+        assert rule_set.tree.key == ("c0", 1)
+        assert [child.key for child in rule_set.tree.branches.values()] == [("c1", 1), ("c2", 1)]
+        data = held_out(schema, [("p", "x", "y", "A"), ("p", "y", "x", "A")])
+        with spy_column() as column:
+            assert evaluate(rule_set, data) == 0.5
+        fetched = [call.args[1] for call in column.call_args_list]
+        assert sorted(fetched) == [("c0", 1), ("c1", 1), ("k", 1)]
+
 
 class TestPureChildren:
     def test_pure_discrete_children_are_leaves_without_rows(self):
@@ -347,7 +367,7 @@ class TestPureChildren:
 
         def build(self, indices, columns, counts=None):
             if counts is not None and len(indices) < train.n:
-                recount = _count(self.class_codes, indices)
+                recount = _count(self.codes[train.decision_column], indices)
                 assert list(counts.items()) == list(recount.items())
                 inherited.append(counts)
             return original(self, indices, columns, counts)
@@ -585,6 +605,19 @@ class TestEvaluate:
         with pytest.raises(DataError, match=r"c0@t1 is numeric, but the tree tests it by symbol"):
             evaluate(rule_set, flat_table(rows, kinds=["numeric", "discrete"]))
 
+    def test_a_window_that_decides_another_column_is_rejected(self):
+        # every column this tree tests is also a column of the (3, 3)
+        # windows, so only their decision columns tell them apart
+        walk = generate_robot_walk(RobotWorldConfig(steps=600, seed=1))
+        head, tail = split_chronological(walk, 100)
+        spec = TemporalisationSpec(2, 2, "x")
+        rule_set = induce(temporalise(spec, head))
+        assert evaluate(rule_set, temporalise(spec, tail)) == 1.0
+        for d in "xy":
+            data = temporalise(TemporalisationSpec(3, 3, d), tail)
+            with pytest.raises(DataError, match=f"column {d}@t3 is not the tree's, x@t2"):
+                evaluate(rule_set, data)
+
     def test_a_numeric_decision_is_rejected(self):
         rule_set = induce(flat_table([("a", "1"), ("b", "2")]))
         data = flat_table([("a", 1), ("b", 2)], kinds=["discrete", "numeric"])
@@ -625,7 +658,7 @@ class TestRootScoring:
         rows = [("p", "x", "A"), ("p", "y", "A"), ("q", "x", "A"), ("q", "y", "B")]
         train = flat_table((rows + [("r", "x", "B"), ("r", "y", "B")]) * 2)
         root = induce(train).tree
-        assert root.attribute == "c0"
+        assert root.key == ("c0", 1)
         leaves = [isinstance(child, _Leaf) for child in root.branches.values()]
         assert leaves == [True, False, True]
         schema = (
