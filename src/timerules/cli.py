@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args
 
-from .dataset import DataError, EventSequence, HeaderMode, load_csv
+from .dataset import DataError, EventSequence, HeaderMode, load_csv, read_text
 from .temporalise import TemporalisationSpec, temporalise
 from .verdict import ACCURACY_MODES, INTERVAL_METHODS, PREFERENCES, RunSpec, run_timers
 from .worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
@@ -157,10 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_path(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".manifest.json")
-
-
 def _generate(kind: str, config: dict) -> EventSequence:
     if kind == "robot":
         return generate_robot_walk(RobotWorldConfig(**config))
@@ -170,7 +166,7 @@ def _generate(kind: str, config: dict) -> EventSequence:
 def _write_generated(kind: str, config: dict, data: EventSequence, out: Path) -> None:
     data.to_csv(out)
     manifest = {"kind": kind, "config": config, "csv": out.name, "rows": data.n}
-    with open(_manifest_path(out), "w", encoding="utf-8") as handle:
+    with open(out.with_suffix(".manifest.json"), "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
     print(f"wrote {data.n} records to {out}")
@@ -178,11 +174,10 @@ def _write_generated(kind: str, config: dict, data: EventSequence, out: Path) ->
 
 def _read_manifest(path: str) -> dict:
     """The manifest at `path`, checked to have the shape `_write_generated` writes."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            manifest = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path} is not a JSON manifest: {exc}") from exc
+    try:
+        manifest = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not a JSON manifest: {exc}") from exc
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("kind"), str)

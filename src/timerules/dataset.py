@@ -281,6 +281,16 @@ def write_csv(path: str | Path, header: Sequence[str] | None, rows: Iterable) ->
         writer.writerows([format_cell(value) for value in row] for row in rows)
 
 
+def read_text(path: str | Path) -> str:
+    """The file at `path` decoded as UTF-8, less a leading byte-order mark."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = len(raw[: exc.start + 1].splitlines())  # \n, \r\n or \r ends a line
+        raise DataError(f"{path}: line {line} is not UTF-8 text") from exc
+
+
 def _parse_number(token: str) -> int | float:
     try:
         return int(token)
@@ -339,31 +349,35 @@ def _infer_column(
 def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> EventSequence:
     """Load a comma-separated UTF-8 file into an EventSequence.
 
-    A leading byte-order mark is skipped. A column is typed numeric iff
-    every non-missing cell is an ASCII decimal or float literal without
-    `_` separators; otherwise it is discrete with its symbols collected in
+    A leading byte-order mark is skipped; a bad UTF-8 byte or an over-long
+    field is a DataError naming its line. A column is numeric iff every
+    non-missing cell is an ASCII decimal or float literal without `_`
+    separators; otherwise it is discrete with its symbols collected in
     first-appearance order. A numeric column may not hold `nan` or
-    `inf`: no threshold can order them. Row order is preserved as the
-    temporal order.
+    `inf`: no threshold can order them. Row order is the temporal order.
     """
     if header_mode not in get_args(HeaderMode):
         raise ValueError(f"unknown header_mode {header_mode!r}")
+    read_text(path)  # decoded whole, so a bad byte's line is the file's, not a chunk's
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = [row for row in csv.reader(handle)]
+        reader = csv.reader(handle)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: file is empty")
     if not rows[0]:
         raise DataError(f"{path}: the first row is empty, so the file has no columns")
 
     if header_mode == "first-row-names":
-        names, data = [t.strip() for t in rows[0]], rows[1:]
+        names, data, first_line = [t.strip() for t in rows[0]], rows[1:], 2
     else:
-        names, data = [f"a{i + 1}" for i in range(len(rows[0]))], rows
+        names, data, first_line = [f"a{i + 1}" for i in range(len(rows[0]))], rows, 1
     if not data:
         raise DataError(f"{path}: no data rows")
 
     width = len(names)
-    first_line = 2 if header_mode == "first-row-names" else 1
     for i, row in enumerate(data):
         if len(row) != width:
             line = i + first_line

@@ -41,14 +41,14 @@ the order a row-by-row scan gives.
 The sweep needs only a tree's leaf count, the columns it tests and its
 accuracy. The learner tallies them as it grows the tree: training rows
 never stray, so each leaf's hits on its window are known when it is made
-(C4.5's "(N/E)" leaf annotation), and `Rule`/`Condition` objects are
-built only when `rules` or `render` is read. Evaluating the tree's own
-window returns that tally. Any other window's root is scored from its
-counts, as the learner does: a leaf root from the class counts, a
-discrete root from its column's pair counts, where a value whose branch
-is a leaf, or which has no branch, scores all its rows at once. Only
-the other rows are routed down the tree, through the same kind of map,
-so only the columns they reach, and the decision column, are fetched.
+(C4.5's "(N/E)" leaf annotation). That window also gives the decision
+column and column kinds, and `Rule`/`Condition` objects are built only
+when `rules` or `render` is read. Evaluating the tree's own window
+returns that tally. Any other window's root is scored from its counts: a
+leaf root from the class counts, a discrete root from its column's pair
+counts, where a value whose branch is a leaf, or which has no branch,
+scores all its rows at once. Only the other rows are routed down the
+tree, which fetches only the columns they reach and the decision column.
 """
 
 from __future__ import annotations
@@ -116,29 +116,27 @@ class RuleSet:
 
     `classify` routes a record down the tree and `evaluate` scores a
     window. The learner tallies, as it grows the tree, its `size` (leaf
-    count), the (attribute, time) columns its splits test, those of them
-    tested against a threshold, and its hits on `train`, the window it
-    was grown on. `rules` are its leaf paths in extraction order
-    (discrete branches in domain order, a numeric split's low side
-    first), so exactly one rule holds for each record the tree covers;
-    every leaf is one rule and every split's column is tested by the
-    rules below it.
+    count), the (attribute, time) columns its splits test and its hits on
+    `train`, the window it was grown on. That window also gives the
+    decision column every rule shares and each tested column's kind: a
+    column is tested against a threshold exactly when its attribute is
+    numeric. `rules` are its leaf paths in extraction order (discrete
+    branches in domain order, a numeric split's low side first), so
+    exactly one rule holds for each record the tree covers; every leaf
+    is one rule and every split's column is tested by the rules below it.
     """
 
     tree: object = field(repr=False)
     default_class: object
-    decision_attribute: str
-    decision_time: int
     size: int
     tested: frozenset[tuple[str, int]]
-    numeric: frozenset[tuple[str, int]]
     training_hits: int
     train: TemporalisedDataset = field(repr=False, compare=False)
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
         return tuple(
-            Rule(conditions, self.decision_attribute, self.decision_time, value)
+            Rule(conditions, *self.train.decision_column, value)
             for conditions, value in _extract_rules(self.tree)
         )
 
@@ -220,7 +218,7 @@ class _TreeBuilder:
     def __init__(self, train: TemporalisedDataset):
         self.train = train
         self.classes = _classes(train)
-        # column scan order fixes gain-ratio ties: lowest (attribute, time) wins
+        # scan order breaks only float-equal ties: lowest (attribute, time) wins (ROADMAP item 1)
         self.columns = [
             (key, train.source.attribute(key[0]).domain)
             for key in sorted(train.condition_columns)
@@ -230,7 +228,6 @@ class _TreeBuilder:
         self.leaves = 1  # a split with k branches turns a leaf into k
         self.misses = 0
         self.tested: set[tuple[str, int]] = set()
-        self.numeric: set[tuple[str, int]] = set()
 
     def majority(self, counts: dict[int, int]) -> object:
         best = max(counts.values())
@@ -267,7 +264,6 @@ class _TreeBuilder:
         (key, domain), cut, children = best
         self.tested.add(key)
         if domain is None:
-            self.numeric.add(key)
             self.leaves += 1
             values = self.values[key]
             ordered = sorted(indices, key=values.__getitem__)
@@ -317,7 +313,8 @@ class _TreeBuilder:
         are summed in the order a row-by-row scan would produce: classes
         and discrete values in first-appearance order within the node,
         numeric cuts in ascending value order, the high side of a cut in
-        the node's class order.
+        the node's class order. Of float-equal scores the first wins, but
+        scores equal in real numbers may differ in floats (ROADMAP item 1).
 
         `children` holds each child's class counts. For a discrete split
         it maps each observed value code to its child's counts, whose
@@ -441,17 +438,13 @@ def _extract_rules(node, path=()):
 def induce(train: TemporalisedDataset) -> RuleSet:
     """Grow a gain-ratio tree over `train`; its leaf paths are the rules."""
     builder = _TreeBuilder(train)
-    d, pos = train.decision_column
     counts = train.counts(train.decision_column)
     tree = builder._pure_leaf(counts) or builder.build(range(train.n), builder.columns, counts)
     return RuleSet(
         tree=tree,
         default_class=builder.majority(counts),
-        decision_attribute=d,
-        decision_time=pos,
         size=builder.leaves,
         tested=frozenset(builder.tested),
-        numeric=frozenset(builder.numeric),
         training_hits=train.n - builder.misses,
         train=train,
     )
@@ -479,15 +472,15 @@ def classify(rule_set: RuleSet, record: Mapping[str, object]) -> object:
 def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     """Fraction of records whose recorded decision the rule set reproduces.
 
-    On the window the tree was grown on, this is the learner's tally of
-    its leaves' hits. On any other window the root is scored from `data`'s
+    On the window the tree was grown on, this is the learner's tally of its
+    leaves' hits. On any other window the root is scored from `data`'s
     counts, whose codes are read through `data`'s own domains; a stray
     scores as the default class. Only the rows of a numeric root, or of a
     discrete root's non-leaf children, are routed down the tree, which
-    fetches only the columns they reach. `data` must decide the tree's
-    decision column and hold every column the tree tests, of its kind.
+    fetches only the columns they reach. `data` must decide `train`'s
+    decision column and hold every column the tree tests, of its kind there.
     """
-    decision = (rule_set.decision_attribute, rule_set.decision_time)
+    decision = rule_set.train.decision_column
     if data.decision_column != decision:
         found, expected = column_name(*data.decision_column), column_name(*decision)
         raise DataError(f"dataset decision column {found} is not the tree's, {expected}")
@@ -495,7 +488,7 @@ def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     _reject_missing_columns(rule_set.tested, data.condition_columns, "dataset")
     for key in sorted(rule_set.tested):
         kind = data.source.attribute(key[0]).kind
-        if (kind == "numeric") != (key in rule_set.numeric):
+        if kind != rule_set.train.source.attribute(key[0]).kind:
             test = "by symbol" if kind == "numeric" else "against a threshold"
             name = column_name(*key)
             raise DataError(f"dataset column {name} is {kind}, but the tree tests it {test}")

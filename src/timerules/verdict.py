@@ -61,10 +61,7 @@ class RunSpec:
     interval_method: str = "normal"
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha <= self.beta:
-            raise ValueError(
-                f"window range must satisfy 0 < alpha <= beta, got {self.alpha}..{self.beta}"
-            )
+        rule_generator_run_count(self.alpha, self.beta)  # checks the window range
         if not 0.0 <= self.ac_th <= 1.0:
             raise ValueError(f"accuracy threshold must lie in [0, 1], got {self.ac_th}")
         if not 0.0 < self.cl < 1.0:
@@ -358,7 +355,7 @@ def _run_single(
         test_size = test_set.n
     declared = declared_kind(w, pos)
     if rule_set.tested:
-        actual = classify_times((t for _, t in rule_set.tested), rule_set.decision_time)
+        actual = classify_times((t for _, t in rule_set.tested), pos)
     else:
         # a bare majority rule carries no temporal evidence either way
         actual = declared

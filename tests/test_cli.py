@@ -104,6 +104,13 @@ class TestGenerate:
         assert code == 3
         assert "is not a JSON manifest" in err
 
+    def test_manifest_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b'{"kind": "robot", \xff}')
+        code, _, err = run(capsys, "generate", "from-manifest", str(manifest))
+        assert code == 3
+        assert err == f"timerules: data error: {manifest}: line 1 is not UTF-8 text\n"
+
     @pytest.mark.parametrize(
         "manifest",
         [
@@ -318,6 +325,26 @@ class TestAnalyze:
             "--decision", "x",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["analyze", "temporalise-dump"])
+    def test_file_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "bad8.csv"
+        data.write_bytes(b"x,c\n1,a\n2,\xff\n3,b\n")
+        flags = ["--window", "1", "--position", "1", "--out", str(tmp_path / "d.csv")]
+        code, _, err = run(
+            capsys, command, "--data", str(data), "--decision", "c",
+            *(flags if command == "temporalise-dump" else []),
+        )
+        assert code == 3
+        assert err == f"timerules: data error: {data}: line 3 is not UTF-8 text\n"
+
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("x,c\n1," + "a" * 200000 + "\n2,b\n", encoding="utf-8")
+        code, _, err = run(capsys, "analyze", "--data", str(data), "--decision", "c")
+        assert code == 3
+        assert err.startswith(f"timerules: data error: {data}: line 2: field larger than")
+        assert err.count("\n") == 1
 
     def test_bad_flag_value_is_a_usage_error(self, robot_csv, capsys):
         code, _, err = run(

@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 import re
@@ -209,6 +210,35 @@ class TestLoadCsv:
         data = load_csv(path)
         assert data.attribute_names == ("x", "y")
         assert data.columns[0] == (1, 2)
+
+    @pytest.mark.parametrize(
+        ("raw", "line"),
+        [
+            (b"x,c\n1,a\n2,\xff\n3,b\n", 3),
+            (b"x,c\r1,a\r\n2,a\r\xff,b\r", 4),
+            # a byte-order mark does not shift the count
+            (b"\xef\xbb\xbfx,c\n\xff,a\n", 2),
+            # past the first 8 KB a decoder reads at a time
+            (b"x,c\n" + b"1,a\n" * 5000 + b"2,\xe2\x82\n", 5002),
+        ],
+        ids=["third-line", "mixed-line-ends", "after-a-byte-order-mark", "past-8-kb"],
+    )
+    def test_a_file_that_is_not_utf8_names_its_first_bad_line(self, tmp_path, raw, line):
+        path = tmp_path / "bad8.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: line {line} is not UTF-8 text"
+
+    def test_a_field_over_the_csv_limit_names_its_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = write(tmp_path, "x,c\n1,a\n2," + "b" * (limit + 1) + "\n3,a\n")
+        with pytest.raises(DataError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: line 3: field larger than field limit ({limit})"
+        )
+        assert csv.field_size_limit() == limit
 
     def test_nan_symbol_in_discrete_column_is_a_symbol(self, tmp_path):
         data = load_csv(write(tmp_path, "v\nnan\nlow\n"))

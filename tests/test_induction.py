@@ -803,17 +803,22 @@ class TestRuleSetInvariants:
     )
     @given(tables=random_tables())
     def test_shape_agrees_with_the_rules(self, tables):
-        rule_set = induce(tables[0])
+        train = tables[0]
+        rule_set = induce(train)
         rules = rule_set.rules
         tested = {(c.attribute, c.time) for rule in rules for c in rule.conditions}
         assert rule_set.size == len(rules)
         assert rule_set.tested == tested
-        assert rule_set.numeric == {
-            (c.attribute, c.time) for rule in rules for c in rule.conditions if c.op != "="
-        }
+        for rule in rules:
+            assert (rule.decision_attribute, rule.decision_time) == train.decision_column
+            for c in rule.conditions:
+                # a threshold test exactly on the columns the window calls numeric
+                numeric = train.source.attribute(c.attribute).kind == "numeric"
+                assert (c.op != "=") == numeric
         if tested:
             times = [t for _, t in rule_set.tested]
-            assert classify_times(times, rule_set.decision_time) == classify_rule_set(rules)
+            _, t0 = train.decision_column
+            assert classify_times(times, t0) == classify_rule_set(rules)
 
     def test_shared_decision_enforced(self):
         rule_set = induce(
