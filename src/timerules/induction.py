@@ -18,8 +18,8 @@ pair codes, `value_code * C + class_code` for C classes, where a
 numeric value's code is its rank among the source sequence's sorted
 distinct values (the presorting idea of C4.5 and SPRINT). The window
 slices them from the codes its source sequence caches, so the learner
-does no window arithmetic of its own. A node counts its rows' pair
-codes per column in one pass and scores every candidate split from
+does no window arithmetic of its own. A node groups its rows' pair
+codes into class counts per value and scores every candidate split from
 those counts alone, and the winning split hands back each child's class
 counts (as C4.5 knows a child's class distribution once the split is
 scored). A child whose counts hold one class becomes a leaf at once,
@@ -34,9 +34,10 @@ A node scans only its live columns: those with at least two distinct
 values on its rows. A column that is constant on a node is constant on
 every descendant, and a discrete split column is constant on each
 child, so neither reaches the children. Small nodes, which dominate deep
-trees, count codes with a plain dict loop instead of a `Counter`; both
-insert in first-appearance order, so every entropy term is summed in
-the order a row-by-row scan gives.
+trees, gather each column's codes with one `itemgetter` call and group
+them in one pass; larger ones count them with `Counter` first. Both keep
+first-appearance order, so every entropy term is summed in the order a
+row-by-row scan gives. A one-class value's term, exactly 0.0, is skipped.
 
 The sweep needs only a tree's leaf count, the columns it tests and its
 accuracy. The learner tallies them as it grows the tree: training rows
@@ -57,6 +58,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .dataset import DataError
@@ -64,13 +66,13 @@ from .temporalise import TemporalisedDataset, column_name
 
 _GAIN_EPS = 1e-12
 
-# Nodes of at most this many rows count codes with a dict loop, larger
-# ones with `Counter`, whose set-up dominates on small nodes. Timed on a
-# 2-vCPU Xeon with Python 3.11 (timeit, best of 5), the loop against
-# `Counter` takes 0.4 against 2.6 us on 2 rows and 7.9 against 10.5 us
-# on 64; they break even between 100 and 150 rows, and `Counter` is 1.5x
-# faster on 1,000.
-_SMALL_NODE = 64
+# Nodes of at most this many rows group their rows by value in one pass,
+# larger ones count their pair codes with `Counter` first. Timed on a
+# 2-vCPU Xeon with Python 3.11 (timeit, best of 7), on a 4-value, 4-class
+# noise column the pass against `Counter` takes 0.6 against 2.0 us on 2
+# rows, 4.9 against 5.4 us on 32 and 17.7 against 9.9 us on 128; on the
+# class codes alone, 4.6 against 5.8 us on 32 rows, 8.0 against 5.0 on 64.
+_SMALL_NODE = 32
 
 
 @dataclass(frozen=True)
@@ -187,20 +189,6 @@ class _Fetched(dict):
         return value
 
 
-def _count(codes: Sequence[int], indices: list[int]) -> dict[int, int]:
-    """How often each code occurs among `codes[i]` for i in `indices`.
-
-    Keys are in first-appearance order, whichever way the node is counted.
-    """
-    if len(indices) > _SMALL_NODE:
-        return Counter(map(codes.__getitem__, indices))
-    counts: dict[int, int] = {}
-    for i in indices:
-        code = codes[i]
-        counts[code] = counts.get(code, 0) + 1
-    return counts
-
-
 class _TreeBuilder:
     """Gain-ratio tree growth over integer-coded training columns.
 
@@ -209,7 +197,7 @@ class _TreeBuilder:
     key, scanned as a `(key, domain)` pair whose domain is None if the
     column is numeric. `codes[key]` and `values[key]` fetch the window's
     codes and values on first lookup. The root reads its window's
-    counts; any other node counts its rows' codes per live column. It
+    counts; any other node groups its rows' codes per live column. It
     tallies the tree's leaves, its training misses and the columns its
     splits test. Only a leaf with no live column misses: the others are
     pure or, on an empty branch, hold no training row.
@@ -225,6 +213,8 @@ class _TreeBuilder:
         ]
         self.codes = _Fetched(train.codes)
         self.values = _Fetched(train.column)
+        # pair code -> (value, class); a class code is value 0's pair code
+        self.pairs = {k: (0, k) for k in range(len(self.classes))}
         self.leaves = 1  # a split with k branches turns a leaf into k
         self.misses = 0
         self.tested: set[tuple[str, int]] = set()
@@ -252,10 +242,12 @@ class _TreeBuilder:
         (C4.5's thresholds are observed values): a midpoint can round onto
         either side, or overflow.
         """
+        # a node below the root holds at least two rows, as itemgetter needs
+        gather = None if isinstance(indices, range) else itemgetter(*indices)
         if counts is None:
-            counts = _count(self.codes[self.train.decision_column], indices)
+            counts = self._by_value(self.train.decision_column, gather, len(indices))[0]
         best, live = self._best_split(
-            indices, counts, _entropy(counts.values(), len(indices)), columns
+            gather, len(indices), counts, _entropy(counts.values(), len(indices)), columns
         )
         if best is None:
             self.misses += len(indices) - max(counts.values())
@@ -305,11 +297,44 @@ class _TreeBuilder:
             return _Leaf(self.classes[next(iter(counts))])
         return None
 
-    def _best_split(self, indices, counts, parent_entropy, columns):
+    def _by_value(self, key, gather, total: int) -> dict[int, dict[int, int]]:
+        """Per value code of column `key`, its class counts on a node's rows.
+
+        Both in first-appearance order; a node of over `_SMALL_NODE` rows
+        counts its pair codes first. The root (`gather` None) reads its
+        window's counts, which hold every pair code below it, into `pairs`.
+        """
+        pairs = self.pairs
+        by_value: dict = {}
+        if gather is not None and total <= _SMALL_NODE:
+            for pair in gather(self.codes[key]):
+                value, klass = pairs[pair]
+                group = by_value.get(value)
+                if group is None:
+                    by_value[value] = {klass: 1}
+                else:
+                    group[klass] = group.get(klass, 0) + 1
+            return by_value
+        if gather is None:
+            counts = self.train.counts(key)
+            pairs.update({pair: divmod(pair, len(self.classes)) for pair in counts})
+        else:
+            counts = Counter(gather(self.codes[key]))
+        for pair, c in counts.items():
+            value, klass = pairs[pair]
+            group = by_value.get(value)
+            if group is None:
+                by_value[value] = {klass: c}
+            else:
+                group[klass] = c
+        return by_value
+
+    def _best_split(self, gather, total, counts, parent_entropy, columns):
         """The winning ((key, domain), cut, children), or None, and the live columns.
 
-        The live columns are those of `columns` with at least two
-        distinct values on `indices`, in scan order. Floating-point terms
+        `gather` reads a column's codes at the node's `total` rows (None at
+        the root). The live columns are those of `columns` with at least
+        two distinct values on the rows, in scan order. Floating-point terms
         are summed in the order a row-by-row scan would produce: classes
         and discrete values in first-appearance order within the node,
         numeric cuts in ascending value order, the high side of a cut in
@@ -323,26 +348,12 @@ class _TreeBuilder:
         sides' row order. `cut` is the number of rows on the low side of
         a numeric split and None for a discrete one.
         """
-        total = len(indices)
-        width = len(self.classes)
-        root = isinstance(indices, range)
         best = None
         best_score = (-1, -math.inf)  # (positive-gain flag, gain ratio)
         live = []
         for column in columns:
             key, domain = column
-            by_value: dict = {}
-            if root:
-                pair_counts = self.train.counts(key)
-            else:
-                pair_counts = _count(self.codes[key], indices)
-            for pair, c in pair_counts.items():
-                value, klass = divmod(pair, width)
-                group = by_value.get(value)
-                if group is None:
-                    by_value[value] = {klass: c}
-                else:
-                    group[klass] = c
+            by_value = self._by_value(key, gather, total)
             if len(by_value) < 2:
                 continue
             live.append(column)
@@ -352,7 +363,8 @@ class _TreeBuilder:
                 for group in by_value.values():
                     size = sum(group.values())
                     p = size / total
-                    children += p * _entropy(group.values(), size)
+                    if len(group) > 1:  # a one-class group's term is exactly 0.0
+                        children += p * _entropy(group.values(), size)
                     split_info -= p * math.log2(p)
                 gain = parent_entropy - children
                 score = (1 if gain > _GAIN_EPS else 0, gain / split_info)

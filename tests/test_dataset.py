@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from timerules.dataset import (
+    _PEELED_CODES,
     AttributeSchema,
     DataError,
     EventSequence,
@@ -557,6 +558,65 @@ class TestPairCodeLanes:
         train, test = split_chronological(from_rows(schema, head + tail), len(tail))
         self.check(train, "H")
         self.check(test, "H")
+
+
+def symbols(count):
+    return tuple(f"s{k}" for k in range(count))
+
+
+class TestWholeArrayCounts:
+    """`counts` against `Counter` over a plain list, key order included.
+
+    A one-byte array's first `_PEELED_CODES` codes are counted by
+    deleting bytes and the rest by `Counter`, and a wider array by
+    `Counter` alone, so each case crosses one of those ways.
+    """
+
+    def check(self, domain, column, lane):
+        data = EventSequence((AttributeSchema("x", "discrete", domain),), (tuple(column),))
+        codes = data.codes("x")
+        assert codes.typecode == lane
+        plain = [domain.index(value) for value in column]
+        n = len(plain)
+        for start, stop in ((0, n), (1, n), (0, n - 1), (1, n - 1), (n // 3, n - n // 3)):
+            got = data.counts("x", start, stop)
+            assert list(got.items()) == list(Counter(plain[start:stop]).items()), (start, stop)
+
+    def test_one_byte_codes_0_and_255(self):
+        # 255 first and 0 last, so code order is not first-appearance order
+        rng = random.Random(3)
+        domain = symbols(256)
+        middle = [rng.choice(domain) for _ in range(300)]
+        self.check(domain, [domain[255], *middle, domain[0]], "B")
+        self.check(domain, [domain[0], domain[255]] * 40, "B")
+
+    def test_a_single_code(self):
+        self.check(symbols(3), ["s1"] * 50, "B")
+
+    def test_a_code_seen_only_in_the_last_row(self):
+        # a window that leaves the last row out holds the code zero times
+        rng = random.Random(4)
+        self.check(symbols(5), [rng.choice(symbols(4)) for _ in range(60)] + ["s4"], "B")
+
+    @pytest.mark.parametrize(
+        "distinct", [_PEELED_CODES - 1, _PEELED_CODES, _PEELED_CODES + 1, 2 * _PEELED_CODES]
+    )
+    def test_distinct_codes_either_side_of_the_peeling_cutoff(self, distinct):
+        # skewed counts, and codes shuffled so none appears in code order
+        rng = random.Random(distinct)
+        domain = symbols(distinct)
+        order = list(domain)
+        rng.shuffle(order)
+        column = [s for k, s in enumerate(order) for _ in range(1 + k % 5)]
+        rng.shuffle(column)
+        self.check(domain, order + column, "B")
+
+    @pytest.mark.parametrize("count, lane", [(257, "H"), (65536, "H"), (65537, "I")])
+    def test_wider_lanes(self, count, lane):
+        rng = random.Random(count)
+        domain = symbols(count)
+        column = [domain[-1], *(rng.choice(domain[:3] + domain[-3:]) for _ in range(80)), domain[0]]
+        self.check(domain, column, lane)
 
 
 class TestAsDiscrete:
