@@ -12,23 +12,23 @@ it reaches; a symbol no branch covers sends it to the default class.
 
 The learner names a column only by its (attribute, time) key and reads
 the training window through two maps from keys, filled on first use:
-one gives a column's codes, the other its values. The decision column's
-codes are its rows' class codes, and a condition column's are small-int
-pair codes, `value_code * C + class_code` for C classes, where a
-numeric value's code is its rank among the source sequence's sorted
-distinct values (the presorting idea of C4.5 and SPRINT). The window
-slices them from the codes its source sequence caches, so the learner
-does no window arithmetic of its own. A node groups its rows' pair
+one gives a condition column's codes, the other a column's values. The
+codes are small-int pair codes, `value_code * C + class_code` for C
+classes, where a numeric value's code is its rank among the source
+sequence's sorted distinct values (the presorting idea of C4.5 and
+SPRINT). The window slices them from the codes its source sequence
+caches, so the learner does no window arithmetic of its own. A node groups its rows' pair
 codes into class counts per value and scores every candidate split from
 those counts alone, and the winning split hands back each child's class
 counts (as C4.5 knows a child's class distribution once the split is
 scored). A child whose counts hold one class becomes a leaf at once,
-with no row list and no recount. A discrete split groups only its
-impure children's rows, and each inherits its counts, which are in its
-own first-appearance order. The root, the only node holding every row,
-reads its window's counts, so a code list is fetched only when a node
-below the root first scans it, and a column's values only when a split
-on it sorts rows (numeric) or groups impure children's rows.
+with no row list. Every impure child inherits its counts, which are in
+its own first-appearance order, so no node counts class codes. A
+discrete split groups only its impure children's rows. The root, the
+only node holding every row, reads its window's counts, so a code list
+is fetched only when a node below the root first scans it, and a
+column's values only when a split on it sorts rows (numeric) or groups
+impure children's rows.
 
 A node scans only its live columns: those with at least two distinct
 values on its rows. A column that is constant on a node is constant on
@@ -70,8 +70,7 @@ _GAIN_EPS = 1e-12
 # larger ones count their pair codes with `Counter` first. Timed on a
 # 2-vCPU Xeon with Python 3.11 (timeit, best of 7), on a 4-value, 4-class
 # noise column the pass against `Counter` takes 0.6 against 2.0 us on 2
-# rows, 4.9 against 5.4 us on 32 and 17.7 against 9.9 us on 128; on the
-# class codes alone, 4.6 against 5.8 us on 32 rows, 8.0 against 5.0 on 64.
+# rows, 4.9 against 5.4 us on 32 and 17.7 against 9.9 us on 128.
 _SMALL_NODE = 32
 
 
@@ -213,8 +212,8 @@ class _TreeBuilder:
         ]
         self.codes = _Fetched(train.codes)
         self.values = _Fetched(train.column)
-        # pair code -> (value, class); a class code is value 0's pair code
-        self.pairs = {k: (0, k) for k in range(len(self.classes))}
+        # pair code -> (value, class), filled by the root's scan of every column
+        self.pairs: dict[int, tuple[int, int]] = {}
         self.leaves = 1  # a split with k branches turns a leaf into k
         self.misses = 0
         self.tested: set[tuple[str, int]] = set()
@@ -223,19 +222,15 @@ class _TreeBuilder:
         best = max(counts.values())
         return self.classes[min(k for k, c in counts.items() if c == best)]
 
-    def build(
-        self,
-        indices: Sequence[int],
-        columns: list[tuple],
-        counts: dict[int, int] | None = None,
-    ):
+    def build(self, indices: Sequence[int], columns: list[tuple], counts: dict[int, int]):
         """The subtree over rows `indices`, scanning only `columns`.
 
-        The rows, a `range` at the root, hold at least two classes.
-        `counts` are their class counts in first-appearance order, if the
-        caller has them. A child whose class counts from the winning split
-        hold one class becomes a leaf and is not built. A discrete split
-        groups only its impure children's rows, which inherit their counts.
+        The rows, a `range` at the root, hold at least two classes, and
+        `counts` are their class counts in first-appearance order. Each
+        child inherits its class counts from the winning split: one that
+        holds one class becomes a leaf and is not built, and an empty
+        discrete branch a leaf of the node's majority. A discrete split
+        groups only its impure children's rows.
 
         A numeric split's threshold is the midpoint of the values either
         side of the cut if it lies in [below, above), else `below` itself
@@ -244,8 +239,6 @@ class _TreeBuilder:
         """
         # a node below the root holds at least two rows, as itemgetter needs
         gather = None if isinstance(indices, range) else itemgetter(*indices)
-        if counts is None:
-            counts = self._by_value(self.train.decision_column, gather, len(indices))[0]
         best, live = self._best_split(
             gather, len(indices), counts, _entropy(counts.values(), len(indices)), columns
         )
@@ -256,7 +249,6 @@ class _TreeBuilder:
         (key, domain), cut, children = best
         self.tested.add(key)
         if domain is None:
-            self.leaves += 1
             values = self.values[key]
             ordered = sorted(indices, key=values.__getitem__)
             low, high = ordered[:cut], ordered[cut:]
@@ -267,29 +259,26 @@ class _TreeBuilder:
                 threshold = below
             if not below <= threshold < above:
                 threshold = below
-            # a side's counts are in ascending-value order, not its rows'
-            # first-appearance order, so an impure side counts them again
-            low_counts, high_counts = children
-            branches = {
-                False: self._pure_leaf(low_counts) or self.build(low, live),
-                True: self._pure_leaf(high_counts) or self.build(high, live),
-            }
-            return _Split(key, threshold, branches)
-        # each child holds one value of the split column
-        live = [column for column in live if column[0] != key]
-        self.leaves += len(domain) - 1
-        impure = [domain[code] for code, group in children.items() if len(group) > 1]
-        rows = _group(self.values[key], indices, impure)[0] if impure else {}
-        majority = self.majority(counts)
-        branches = {}
-        for code, symbol in enumerate(domain):
-            group = children.get(code)
-            branches[symbol] = (
-                _Leaf(majority)
-                if group is None
-                else self._pure_leaf(group) or self.build(rows[symbol], live, group)
+            parts = zip((False, True), (low, high), children)
+        else:
+            # each child holds one value of the split column
+            live = [column for column in live if column[0] != key]
+            threshold = None
+            impure = [domain[code] for code, group in children.items() if len(group) > 1]
+            by_symbol = _group(self.values[key], indices, impure)[0] if impure else {}
+            parts = (
+                (symbol, by_symbol.get(symbol), children.get(code))
+                for code, symbol in enumerate(domain)
             )
-        return _Split(key, None, branches)
+        branches = {}
+        for outcome, rows, group in parts:
+            branches[outcome] = (
+                _Leaf(self.majority(counts))
+                if group is None
+                else self._pure_leaf(group) or self.build(rows, live, group)
+            )
+        self.leaves += len(branches) - 1
+        return _Split(key, threshold, branches)
 
     def _pure_leaf(self, counts: dict[int, int]) -> _Leaf | None:
         """The leaf of the one class `counts` hold, or None if they hold more."""
@@ -344,9 +333,10 @@ class _TreeBuilder:
         `children` holds each child's class counts. For a discrete split
         it maps each observed value code to its child's counts, whose
         keys are in that child's first-appearance order. For a numeric
-        split it is `(low_counts, high_counts)`, which are not in the
-        sides' row order. `cut` is the number of rows on the low side of
-        a numeric split and None for a discrete one.
+        split it is `(low_counts, high_counts)`, each in the
+        first-appearance order of its side's rows as `build` stably sorts
+        them by value. `cut` is the number of rows on the low side of a
+        numeric split and None for a discrete one.
         """
         best = None
         best_score = (-1, -math.inf)  # (positive-gain flag, gain ratio)
@@ -374,7 +364,8 @@ class _TreeBuilder:
                 continue
             low: dict = {}
             cut = 0
-            for value in sorted(by_value)[:-1]:
+            values = sorted(by_value)
+            for above, value in enumerate(values[:-1], 1):
                 for klass, c in by_value[value].items():
                     low[klass] = low.get(klass, 0) + c
                     cut += c
@@ -389,7 +380,9 @@ class _TreeBuilder:
                 score = (1 if gain > _GAIN_EPS else 0, gain / split_info)
                 if score > best_score:
                     best_score = score
-                    high_counts = {k: c for k, c in zip(counts, high) if c > 0}
+                    high_counts = {
+                        k: counts[k] - low.get(k, 0) for v in values[above:] for k in by_value[v]
+                    }
                     best = (column, cut, (dict(low), high_counts))
         return best, live
 

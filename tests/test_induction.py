@@ -13,6 +13,7 @@ from timerules.dataset import (
     AttributeSchema,
     DataError,
     EventSequence,
+    load_csv,
     split_chronological,
 )
 from timerules.induction import (
@@ -220,8 +221,9 @@ def short_sequences(draw):
 class TestCounting:
     def test_counts_in_first_appearance_order_on_both_sides_of_the_cutoff(self):
         # every entropy sum follows the groups' key order, so a node's
-        # value groups and class counts must keep first appearance, both
-        # when it groups its rows in one pass and when it counts them first
+        # value groups, and the class counts in each, must keep first
+        # appearance, both when it groups its rows in one pass and when it
+        # counts them first; no node counts the class codes alone
         rng = random.Random(11)
         domain = tuple("pqrstu")
         schema = (
@@ -240,15 +242,11 @@ class TestCounting:
                     value, klass = domain.index(rows[i][0]), CLASS_POOL.index(rows[i][1])
                     group = expected.setdefault(value, {})
                     group[klass] = group.get(klass, 0) + 1
-                classes = Counter(CLASS_POOL.index(rows[i][1]) for i in indices)
                 gather = itemgetter(*indices)
                 got = builder._by_value(("u", 1), gather, size)
                 assert [(v, list(g.items())) for v, g in got.items()] == [
                     (v, list(g.items())) for v, g in expected.items()
                 ]
-                got = builder._by_value(train.decision_column, gather, size)
-                assert list(got) == [0]
-                assert list(got[0].items()) == list(classes.items())
 
     @settings(max_examples=200, deadline=None)
     @given(data=short_sequences())
@@ -328,6 +326,23 @@ class TestCodeFetching:
                 fetched = Counter(call.args[1] for call in spy.call_args_list)
                 assert fetched and max(fetched.values()) == 1, (w, pos)
                 assert set(fetched) <= {train.decision_column, *train.condition_columns}
+
+    def test_no_node_fetches_the_decision_column(self, tmp_path):
+        # every child, a numeric side too, inherits its class counts from
+        # its parent's split and the root reads its window's, so growing a
+        # tree over the CSV robot walk's numeric x and y never reads the
+        # class codes
+        path = tmp_path / "walk.csv"
+        generate_robot_walk(RobotWorldConfig(steps=600, seed=3)).to_csv(path)
+        data = load_csv(path)
+        assert data.attribute("x").kind == "numeric"
+        for w, pos in ((1, 1), (2, 1), (3, 2), (3, 3)):
+            train = temporalise(TemporalisationSpec(w=w, pos=pos, d="a"), data)
+            with spy_codes() as codes:
+                induce(train)
+            fetched = Counter(call.args[1] for call in codes.call_args_list)
+            assert fetched and max(fetched.values()) == 1, (w, pos)
+            assert train.decision_column not in fetched, (w, pos)
 
     def test_the_training_window_is_scored_from_the_leaves(self):
         # the learner tallies the tree's misses on its training window, so
@@ -418,16 +433,21 @@ class TestPureChildren:
         suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
     )
     @given(tables=random_tables())
+    # the high side holds C then A, the node A, B, C: its counts must
+    # follow its rows, not the node's class order
+    @example(tables=(
+        flat_table([(-2, "A"), (-2, "B"), (0, "C"), (0, "A")], kinds=["numeric", "discrete"]),
+        None,
+    ))
     def test_handed_down_counts_equal_a_recount(self, tables):
         # entropy sums follow the counts' key order, so a child's inherited
-        # counts must be what counting its rows gives, in the same order;
-        # induce hands the root its counts too, so only smaller nodes count
+        # counts must be what counting its rows gives, in the same order
         train, _ = tables
         original = _TreeBuilder.build
         inherited = []
 
-        def build(self, indices, columns, counts=None):
-            if counts is not None and len(indices) < train.n:
+        def build(self, indices, columns, counts):
+            if len(indices) < train.n:
                 recount = Counter(map(self.codes[train.decision_column].__getitem__, indices))
                 assert list(counts.items()) == list(recount.items())
                 inherited.append(counts)
