@@ -12,13 +12,13 @@ rest.
 A job is just (d, w, pos). The sweep's train and test sequences reach
 each process-pool worker once, through the pool initializer, so the
 codes the learner caches on the training sequence serve all of that
-worker's jobs.
+worker's jobs. A one-worker run imports no process-pool module: the pool
+is imported on a sweep's first use of it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
 from typing import Mapping, Sequence
@@ -394,6 +394,7 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
     the window range already holds (1, 1), which still runs only once.
     The sweep is deterministic regardless of worker count, and uses no
     more workers than it has jobs: a single job starts no process pool.
+    A one-worker sweep imports no process-pool module either.
     """
     data = as_discrete(data, spec.d)
     # checked before the split, so a record is named by its place in `data`
@@ -411,6 +412,8 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
     jobs = [(spec.d, w, pos) for w, pos in windows]
     workers = min(workers, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(train, test)
         ) as executor:

@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +11,10 @@ import timerules.cli
 import timerules.verdict
 from timerules.cli import build_parser, main, worker_count
 from timerules.dataset import load_csv
-from timerules.verdict import RunSpec
+from timerules.verdict import RunSpec, run_timers
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
 
 
 def run(capsys, *argv):
@@ -45,9 +52,55 @@ def pool_sizes(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(timerules.verdict, "ProcessPoolExecutor", PoolSpy)
+    # run_timers imports the pool class from here when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolSpy)
     monkeypatch.setattr(timerules.verdict, "_worker_data", None)
     return sizes
+
+
+def run_fresh(script, *argv):
+    """Run `script` in a new interpreter on this checkout, at the default worker cap."""
+    env = {k: v for k, v in os.environ.items() if k != "TIMERULES_MAX_WORKERS"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_one_worker_analyze_imports_no_pool_module(self, robot_csv):
+        code, loaded = run_fresh(
+            "import json, sys\n"
+            "from timerules.cli import main\n"
+            "code = main(['analyze', '--data', sys.argv[1], '--decision', 'x',"
+            " '--max-window', '3', '--test-count', '150'])\n"
+            f"print(json.dumps([code, [m for m in {POOL_MODULES!r} if m in sys.modules]]))",
+            str(robot_csv),
+        )
+        assert code == 0
+        assert loaded == []
+
+    def test_two_worker_sweep_imports_and_runs_the_pool(self, robot_csv):
+        before, after, report = run_fresh(
+            "import json, sys\n"
+            "from timerules.dataset import load_csv\n"
+            "from timerules.verdict import RunSpec, run_timers\n"
+            "walk = load_csv(sys.argv[1])\n"
+            "spec = RunSpec(d='x', beta=3, test_count=150)\n"
+            "run_timers(spec, walk)\n"
+            "before = 'concurrent.futures.process' in sys.modules\n"
+            "report = run_timers(spec, walk, workers=2).to_dict()\n"
+            "after = 'concurrent.futures.process' in sys.modules\n"
+            "print(json.dumps([before, after, report]))",
+            str(robot_csv),
+        )
+        assert not before
+        assert after
+        one_worker = run_timers(RunSpec(d="x", beta=3, test_count=150), load_csv(robot_csv))
+        assert report == json.loads(json.dumps(one_worker.to_dict()))
 
 
 class TestGenerate:
