@@ -38,6 +38,13 @@ trees, gather each column's codes with one `itemgetter` call and group
 them in one pass; larger ones count them with `Counter` first. Both keep
 first-appearance order, so every entropy term is summed in the order a
 row-by-row scan gives. A one-class value's term, exactly 0.0, is skipped.
+A term over at most `_SMALL_NODE` rows is looked up in a table that holds
+the float its formula gives, so every score is the formula's float. A
+node of two rows below the root holds two classes and scores every live
+column exactly alike, so it splits on the first column in scan order
+whose two values differ, without counting. A tree holds one leaf object
+per class, and a node looks up its majority only when an empty branch or
+a leaf with no live column needs it.
 
 The sweep needs only a tree's leaf count, the columns it tests and its
 accuracy. The learner tallies them as it grows the tree: training rows
@@ -72,6 +79,13 @@ _GAIN_EPS = 1e-12
 # noise column the pass against `Counter` takes 0.6 against 2.0 us on 2
 # rows, 4.9 against 5.4 us on 32 and 17.7 against 9.9 us on 128.
 _SMALL_NODE = 32
+
+# _TERMS[n][c] is (c / n) * log2(c / n), for 1 <= c <= n <= _SMALL_NODE: the
+# very expression `_entropy`'s loop evaluates, so a lookup gives its float
+_TERMS = tuple(
+    (0.0, *((c / n) * math.log2(c / n) for c in range(1, n + 1)))
+    for n in range(_SMALL_NODE + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -145,8 +159,9 @@ class RuleSet:
         return "\n".join(rule.render() for rule in self.rules)
 
 
-# slotted to keep trees small: a robot walk's largest hold ~8,600 nodes
-@dataclass(slots=True)
+# slotted to keep trees small: a robot walk's largest hold ~8,600 nodes;
+# frozen, as every leaf of a class in a tree is one shared object
+@dataclass(frozen=True, slots=True)
 class _Leaf:
     value: object
 
@@ -169,7 +184,17 @@ def _classes(data: TemporalisedDataset) -> tuple[str, ...]:
 
 
 def _entropy(counts: Iterable[int], total: int) -> float:
+    """The entropy of class `counts` summing to `total`, terms summed in order.
+
+    Up to `_SMALL_NODE` each term is read from `_TERMS`, which holds the
+    float the loop computes, so both give the same sum.
+    """
     h = 0.0
+    if total <= _SMALL_NODE:
+        terms = _TERMS[total]
+        for c in counts:
+            h -= terms[c]
+        return h
     for c in counts:
         p = c / total
         h -= p * math.log2(p)
@@ -199,12 +224,14 @@ class _TreeBuilder:
     counts; any other node groups its rows' codes per live column. It
     tallies the tree's leaves, its training misses and the columns its
     splits test. Only a leaf with no live column misses: the others are
-    pure or, on an empty branch, hold no training row.
+    pure or, on an empty branch, hold no training row. Every leaf of a
+    class is that class's one `_Leaf` in `leaf_of`.
     """
 
     def __init__(self, train: TemporalisedDataset):
         self.train = train
         self.classes = _classes(train)
+        self.leaf_of = [_Leaf(value) for value in self.classes]  # by class code
         # scan order breaks only float-equal ties: lowest (attribute, time) wins (ROADMAP item 1)
         self.columns = [
             (key, train.source.attribute(key[0]).domain)
@@ -218,9 +245,10 @@ class _TreeBuilder:
         self.misses = 0
         self.tested: set[tuple[str, int]] = set()
 
-    def majority(self, counts: dict[int, int]) -> object:
+    def majority(self, counts: dict[int, int]) -> _Leaf:
+        """The leaf of the most frequent class in `counts`, the lowest code of tied ones."""
         best = max(counts.values())
-        return self.classes[min(k for k, c in counts.items() if c == best)]
+        return self.leaf_of[min(k for k, c in counts.items() if c == best)]
 
     def build(self, indices: Sequence[int], columns: list[tuple], counts: dict[int, int]):
         """The subtree over rows `indices`, scanning only `columns`.
@@ -228,9 +256,12 @@ class _TreeBuilder:
         The rows, a `range` at the root, hold at least two classes, and
         `counts` are their class counts in first-appearance order. Each
         child inherits its class counts from the winning split: one that
-        holds one class becomes a leaf and is not built, and an empty
-        discrete branch a leaf of the node's majority. A discrete split
-        groups only its impure children's rows.
+        holds one class becomes its class's shared leaf and is not built,
+        and an empty discrete branch the leaf of the node's majority class,
+        which is looked up only when such a branch, or a node no column
+        splits, needs it. A discrete split groups only its impure
+        children's rows. A node of two rows below the root takes its split
+        from `_two_row_split`, which counts nothing.
 
         A numeric split's threshold is the midpoint of the values either
         side of the cut if it lies in [below, above), else `below` itself
@@ -239,15 +270,17 @@ class _TreeBuilder:
         """
         # a node below the root holds at least two rows, as itemgetter needs
         gather = None if isinstance(indices, range) else itemgetter(*indices)
-        best, live = self._best_split(
-            gather, len(indices), counts, _entropy(counts.values(), len(indices)), columns
-        )
+        if gather is not None and len(indices) == 2:
+            best, live = self._two_row_split(gather, columns), []
+        else:
+            best, live = self._best_split(gather, len(indices), counts, columns)
         if best is None:
             self.misses += len(indices) - max(counts.values())
-            return _Leaf(self.majority(counts))
+            return self.majority(counts)
 
         (key, domain), cut, children = best
         self.tested.add(key)
+        empty = None  # the leaf of a discrete branch no row takes
         if domain is None:
             values = self.values[key]
             ordered = sorted(indices, key=values.__getitem__)
@@ -264,6 +297,8 @@ class _TreeBuilder:
             # each child holds one value of the split column
             live = [column for column in live if column[0] != key]
             threshold = None
+            if len(children) < len(domain):
+                empty = self.majority(counts)
             impure = [domain[code] for code, group in children.items() if len(group) > 1]
             by_symbol = _group(self.values[key], indices, impure)[0] if impure else {}
             parts = (
@@ -273,7 +308,7 @@ class _TreeBuilder:
         branches = {}
         for outcome, rows, group in parts:
             branches[outcome] = (
-                _Leaf(self.majority(counts))
+                empty
                 if group is None
                 else self._pure_leaf(group) or self.build(rows, live, group)
             )
@@ -283,7 +318,7 @@ class _TreeBuilder:
     def _pure_leaf(self, counts: dict[int, int]) -> _Leaf | None:
         """The leaf of the one class `counts` hold, or None if they hold more."""
         if len(counts) == 1:
-            return _Leaf(self.classes[next(iter(counts))])
+            return self.leaf_of[next(iter(counts))]
         return None
 
     def _by_value(self, key, gather, total: int) -> dict[int, dict[int, int]]:
@@ -318,17 +353,45 @@ class _TreeBuilder:
                 group[klass] = c
         return by_value
 
-    def _best_split(self, gather, total, counts, parent_entropy, columns):
+    def _two_row_split(self, gather, columns):
+        """`_best_split`'s winner on a node of two rows, which hold two classes.
+
+        On such a node every live column, discrete or numeric, puts each
+        row in its own one-class child and scores exactly (1, 1.0): parent
+        entropy, gain and split info are each exactly 1.0 in floats. So the
+        first column in scan order whose two value codes differ wins, found
+        with no grouping and no entropy, and a numeric cut puts the row
+        with the smaller value code, the smaller value, on the low side.
+        """
+        pairs = self.pairs
+        for column in columns:
+            first, second = gather(self.codes[column[0]])
+            value, klass = pairs[first]
+            other, other_class = pairs[second]
+            if value == other:
+                continue
+            if column[1] is not None:
+                return column, None, {value: {klass: 1}, other: {other_class: 1}}
+            sides = ({klass: 1}, {other_class: 1})
+            return column, 1, sides if value < other else sides[::-1]
+        return None
+
+    def _best_split(self, gather, total, counts, columns):
         """The winning ((key, domain), cut, children), or None, and the live columns.
 
         `gather` reads a column's codes at the node's `total` rows (None at
-        the root). The live columns are those of `columns` with at least
-        two distinct values on the rows, in scan order. Floating-point terms
-        are summed in the order a row-by-row scan would produce: classes
-        and discrete values in first-appearance order within the node,
-        numeric cuts in ascending value order, the high side of a cut in
-        the node's class order. Of float-equal scores the first wins, but
-        scores equal in real numbers may differ in floats (ROADMAP item 1).
+        the root), and `counts` are those rows' class counts. The live
+        columns are those of `columns` with at least two distinct values on
+        the rows, in scan order. Floating-point terms are summed in the
+        order a row-by-row scan would produce: classes and discrete values
+        in first-appearance order within the node, numeric cuts in
+        ascending value order, the high side of a cut in the node's class
+        order. Every entropy term over at most `_SMALL_NODE` rows, and a
+        discrete split's info terms on a node of at most that many, are
+        read from `_TERMS`. A numeric split's info is computed, as its high
+        side's share `1.0 - p_low` is not `(total - cut) / total` in floats.
+        Of float-equal scores the first wins, but scores equal in real
+        numbers may differ in floats (ROADMAP item 1).
 
         `children` holds each child's class counts. For a discrete split
         it maps each observed value code to its child's counts, whose
@@ -338,8 +401,11 @@ class _TreeBuilder:
         them by value. `cut` is the number of rows on the low side of a
         numeric split and None for a discrete one.
         """
+        parent_entropy = _entropy(counts.values(), total)
+        terms = _TERMS[total] if total <= _SMALL_NODE else None
         best = None
-        best_score = (-1, -math.inf)  # (positive-gain flag, gain ratio)
+        # the winner's (positive-gain flag, gain ratio), compared lexicographically
+        best_positive, best_ratio = -1, -math.inf
         live = []
         for column in columns:
             key, domain = column
@@ -352,14 +418,17 @@ class _TreeBuilder:
                 split_info = 0.0
                 for group in by_value.values():
                     size = sum(group.values())
-                    p = size / total
                     if len(group) > 1:  # a one-class group's term is exactly 0.0
-                        children += p * _entropy(group.values(), size)
-                    split_info -= p * math.log2(p)
+                        children += size / total * _entropy(group.values(), size)
+                    if terms is None:
+                        p = size / total
+                        split_info -= p * math.log2(p)
+                    else:
+                        split_info -= terms[size]
                 gain = parent_entropy - children
-                score = (1 if gain > _GAIN_EPS else 0, gain / split_info)
-                if score > best_score:
-                    best_score = score
+                positive, ratio = gain > _GAIN_EPS, gain / split_info
+                if positive > best_positive or positive == best_positive and ratio > best_ratio:
+                    best_positive, best_ratio = positive, ratio
                     best = (column, None, by_value)
                 continue
             low: dict = {}
@@ -377,9 +446,9 @@ class _TreeBuilder:
                 )
                 gain = parent_entropy - children
                 split_info = -(p_low * math.log2(p_low) + p_high * math.log2(p_high))
-                score = (1 if gain > _GAIN_EPS else 0, gain / split_info)
-                if score > best_score:
-                    best_score = score
+                positive, ratio = gain > _GAIN_EPS, gain / split_info
+                if positive > best_positive or positive == best_positive and ratio > best_ratio:
+                    best_positive, best_ratio = positive, ratio
                     high_counts = {
                         k: counts[k] - low.get(k, 0) for v in values[above:] for k in by_value[v]
                     }
@@ -447,7 +516,7 @@ def induce(train: TemporalisedDataset) -> RuleSet:
     tree = builder._pure_leaf(counts) or builder.build(range(train.n), builder.columns, counts)
     return RuleSet(
         tree=tree,
-        default_class=builder.majority(counts),
+        default_class=builder.majority(counts).value,
         size=builder.leaves,
         tested=frozenset(builder.tested),
         training_hits=train.n - builder.misses,

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter
@@ -18,10 +19,12 @@ from timerules.dataset import (
 )
 from timerules.induction import (
     _SMALL_NODE,
+    _TERMS,
     Condition,
     Rule,
     _Leaf,
     _TreeBuilder,
+    _entropy,
     classify,
     evaluate,
     induce,
@@ -456,6 +459,129 @@ class TestPureChildren:
         with mock.patch.object(_TreeBuilder, "build", build):
             induce(train)
         assume(inherited)
+
+    def test_every_leaf_of_a_class_is_one_object(self):
+        # a noise tree has dozens of leaves: pure children, empty
+        # branches and leaves with no live column all share their class's leaf
+        rng = random.Random(3)
+        schema = (
+            AttributeSchema("u", "discrete", ("p", "q", "r", "s")),
+            AttributeSchema("v", "discrete", ("p", "q", "r", "s")),
+            AttributeSchema("k", "discrete", CLASS_POOL),
+        )
+        rows = [(rng.choice("pqrs"), rng.choice("pqrs"), rng.choice(CLASS_POOL)) for _ in range(300)]
+        train = temporalise(TemporalisationSpec(w=2, pos=2, d="k"), from_rows(schema, rows))
+        rule_set = induce(train)
+        leaves: dict = {}
+
+        def walk(node):
+            if isinstance(node, _Leaf):
+                leaves.setdefault(node.value, set()).add(id(node))
+            else:
+                for child in node.branches.values():
+                    walk(child)
+
+        walk(rule_set.tree)
+        assert rule_set.size > 40
+        assert sorted(leaves) == sorted(CLASS_POOL)
+        assert all(len(ids) == 1 for ids in leaves.values())
+
+
+class TestExactTerms:
+    def test_every_table_term_is_the_formula_bit_for_bit(self):
+        for n in range(1, _SMALL_NODE + 1):
+            for c in range(1, n + 1):
+                assert _TERMS[n][c].hex() == ((c / n) * math.log2(c / n)).hex(), (c, n)
+
+    def test_entropy_of_every_small_count_tuple_is_the_direct_loop(self):
+        # every ordered tuple of positive counts with a total of at most 8,
+        # so every order in which a node can meet its classes
+        def compositions(total):
+            if total == 0:
+                yield ()
+                return
+            for first in range(1, total + 1):
+                for rest in compositions(total - first):
+                    yield (first, *rest)
+
+        checked = 0
+        for total in range(1, 9):
+            for counts in compositions(total):
+                expected = 0.0
+                for c in counts:
+                    p = c / total
+                    expected -= p * math.log2(p)
+                assert _entropy(counts, total).hex() == expected.hex(), counts
+                checked += 1
+        assert checked == 2**8 - 1
+
+
+def two_row_node_table(columns):
+    """A w=1 table whose root splits on `a` into a pure child and a two-row node.
+
+    The node holds the rows classed B and C, in that order. `columns`
+    picks, in scan order, which of these follow `a`: b, constant on the
+    node but not on the root; c, a discrete column whose symbol w only
+    other rows hold; d, numeric, lower on the node's second row; e,
+    discrete.
+    """
+    cells = {
+        "a": ("discrete", "p", "p", "q", "q", "p", "p"),
+        "b": ("discrete", "x", "y", "x", "x", "x", "y"),
+        "c": ("discrete", "u", "v", "u", "v", "w", "v"),
+        "d": ("numeric", 1, 5, 9, 3, 7, 11),
+        "e": ("discrete", "m", "n", "m", "n", "m", "n"),
+        "k": ("discrete", "A", "A", "B", "C", "A", "A"),
+    }
+    names = ["a", *columns, "k"]
+    rows = list(zip(*(cells[name][1:] for name in names)))
+    return flat_table(rows, kinds=[cells[name][0] for name in names], names=names)
+
+
+class TestTwoRowNodes:
+    # Two rows of two classes score (1, 1.0) on every live column, so the
+    # first column whose two values differ wins, and both children are
+    # one-class leaves; these trees pin which column, which threshold and
+    # which class lands on each side.
+    def grown(self, train):
+        with spy_build() as build:
+            rule_set = induce(train)
+        assert [len(call.args[1]) for call in build.call_args_list] == [train.n, 2]
+        assert rule_set.render() == "\n".join(ReferenceTree(train).rule_lines())
+        return rule_set
+
+    def test_the_first_differing_column_wins(self):
+        # b ties on the node's rows; c, d and e all split them
+        rule_set = self.grown(two_row_node_table("bcde"))
+        assert rule_set.render().splitlines() == [
+            "IF a@t1=p THEN k@t1=A",
+            "IF a@t1=q AND c@t1=u THEN k@t1=B",
+            "IF a@t1=q AND c@t1=v THEN k@t1=C",
+            # no training row of the node holds w: the node's majority,
+            # of tied classes the first in the domain
+            "IF a@t1=q AND c@t1=w THEN k@t1=B",
+        ]
+        assert rule_set.size == 4
+        assert rule_set.tested == {("a", 1), ("c", 1)}
+
+    def test_a_numeric_cut_puts_the_lower_value_low(self):
+        # the node's second row, classed C, holds the lower d
+        rule_set = self.grown(two_row_node_table("bde"))
+        assert rule_set.render().splitlines() == [
+            "IF a@t1=p THEN k@t1=A",
+            "IF a@t1=q AND d@t1<=6.0 THEN k@t1=C",
+            "IF a@t1=q AND d@t1>6.0 THEN k@t1=B",
+        ]
+        assert rule_set.tree.branches["q"].threshold == 6.0
+
+    def test_a_node_whose_columns_all_tie_is_a_majority_leaf(self):
+        # b is the node's only column and holds one value there: one miss
+        rule_set = self.grown(two_row_node_table("b"))
+        assert rule_set.render().splitlines() == [
+            "IF a@t1=p THEN k@t1=A",
+            "IF a@t1=q THEN k@t1=B",
+        ]
+        assert evaluate(rule_set, rule_set.train) == 5 / 6
 
 
 class TestInduce:
