@@ -16,9 +16,10 @@ big integer, a fixed-width lane per row, wide enough for V * C codes
 when the attribute takes V values, so `values * C + classes` gives
 every row's pair code at once. How often each code occurs in a whole
 array is cached too, so a slice's counts are the whole array's minus
-its few excluded rows, a one-byte array's counted in C by deleting its
-codes from its bytes one at a time. Every window of a sweep slices the
-same cached codes and counts, which live as long as the sequence does.
+its few excluded rows. Every code of a one-byte array is counted in C,
+by deleting the codes from its bytes one at a time, and a wider array
+by `Counter`. Every window of a sweep slices the same cached codes and
+counts, which live as long as the sequence does.
 """
 
 from __future__ import annotations
@@ -40,14 +41,6 @@ HeaderMode = Literal["first-row-names", "positional"]
 
 _INT_TYPES = {int, type(None)}
 _CODE_TYPES = [(1 << 8 * array(t).itemsize, t) for t in "BHIQ"]
-
-# A one-byte code array's first this many codes are counted by byte
-# deletion, the rest by `Counter`. Timed on a 2-vCPU Xeon with Python 3.11
-# (timeit, best of 9), one analyze's whole arrays take 1.1 against 13.7 ms
-# on periodic-long (8 codes each), 4.1 against 6.1 on noise-2w (16) and
-# 5.2 against 5.6 on robot-csv (8-64); deleting all of 32, 64 or 128
-# uniform codes over 6,400 rows takes 1.3x, 1.4x and 2.4x `Counter`'s time.
-_PEELED_CODES = 32
 
 # an attribute name, or (decision, attribute, row offset) for pair codes
 CodeKey = str | tuple[str, str, int]
@@ -250,17 +243,16 @@ class EventSequence:
 
 
 def _count_codes(codes: array) -> dict[int, int]:
-    """`Counter(codes)`; a one-byte array's first `_PEELED_CODES` codes are counted
-    in C: deleting the first byte's code from the bytes keeps the rest in
-    order, and the length lost is that code's count."""
+    """`Counter(codes)`; a one-byte array is counted in C: deleting the first
+    byte's code from the bytes keeps the rest in order, and the length lost
+    is that code's count."""
     if codes.itemsize > 1:
         return Counter(codes)
     rest, counts = codes.tobytes(), {}
-    while rest and len(counts) < _PEELED_CODES:
+    while rest:
         left = rest.translate(None, rest[:1])
         counts[rest[0]] = len(rest) - len(left)
         rest = left
-    counts.update(Counter(rest))  # iterating bytes gives ints
     return counts
 
 
@@ -397,6 +389,8 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
 
     if header_mode == "first-row-names":
         names, data, first_line = [t.strip() for t in rows[0]], rows[1:], 2
+        if "" in names:
+            raise DataError(f"{path}: column {names.index('') + 1} of the header has no name")
     else:
         names, data, first_line = [f"a{i + 1}" for i in range(len(rows[0]))], rows, 1
     if not data:

@@ -52,11 +52,11 @@ never stray, so each leaf's hits on its window are known when it is made
 (C4.5's "(N/E)" leaf annotation). That window also gives the decision
 column and column kinds, and `Rule`/`Condition` objects are built only
 when `rules` or `render` is read. Evaluating the tree's own window
-returns that tally. Any other window's root is scored from its counts: a
-leaf root from the class counts, a discrete root from its column's pair
-counts, where a value whose branch is a leaf, or which has no branch,
-scores all its rows at once. Only the other rows are routed down the
-tree, which fetches only the columns they reach and the decision column.
+returns that tally. On any other window a one-level tree is scored from
+counts: a leaf root from the class counts, a discrete root whose
+branches are all leaves from its column's pair counts. Any deeper tree
+routes every row down from the root, fetching only the columns the rows
+reach and the decision column.
 """
 
 from __future__ import annotations
@@ -547,12 +547,13 @@ def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     """Fraction of records whose recorded decision the rule set reproduces.
 
     On the window the tree was grown on, this is the learner's tally of its
-    leaves' hits. On any other window the root is scored from `data`'s
-    counts, whose codes are read through `data`'s own domains; a stray
-    scores as the default class. Only the rows of a numeric root, or of a
-    discrete root's non-leaf children, are routed down the tree, which
-    fetches only the columns they reach. `data` must decide `train`'s
-    decision column and hold every column the tree tests, of its kind there.
+    leaves' hits. On any other window a leaf root, or a discrete root
+    whose branches are all leaves, is scored from `data`'s counts, whose
+    codes are read through `data`'s own domains. Any other tree routes
+    every row once from its root, fetching only the columns the rows
+    reach. A stray scores as the default class. `data` must decide
+    `train`'s decision column and hold every column the tree tests, of its
+    kind there.
     """
     decision = rule_set.train.decision_column
     if data.decision_column != decision:
@@ -573,27 +574,16 @@ def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
         counts = data.counts(data.decision_column)
         return sum(c for k, c in counts.items() if classes[k] == tree.value) / data.n
     hits = 0
-    subtrees = {}  # root symbol -> its non-leaf child
-    if tree.threshold is None:
+    if tree.threshold is None and not any(isinstance(c, _Split) for c in tree.branches.values()):
         domain = data.source.attribute(tree.key[0]).domain
         for pair, c in data.counts(tree.key).items():
             value, klass = divmod(pair, len(classes))
             child = tree.branches.get(domain[value])
-            if isinstance(child, _Split):
-                subtrees[domain[value]] = child
-            elif classes[klass] == (default if child is None else child.value):
+            if classes[klass] == (default if child is None else child.value):
                 hits += c
-        if not subtrees:
-            return hits / data.n
-    columns = _Fetched(data.column)
+        return hits / data.n
     decisions = data.column(data.decision_column)
-    if subtrees:
-        rows, _ = _group(columns[tree.key], range(data.n), subtrees)
-        routed = [(subtrees[symbol], group) for symbol, group in rows.items()]
-    else:
-        routed = [(tree, list(range(data.n)))]
-    for node, group in routed:
-        for value, reached in _leaves(node, columns, group):
-            predicted = default if value is None else value
-            hits += list(map(decisions.__getitem__, reached)).count(predicted)
+    for value, reached in _leaves(tree, _Fetched(data.column), list(range(data.n))):
+        predicted = default if value is None else value
+        hits += list(map(decisions.__getitem__, reached)).count(predicted)
     return hits / data.n

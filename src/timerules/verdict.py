@@ -134,13 +134,17 @@ class TestOutcome:
 
     w: int
     pos: int
-    declared_kind: RelationKind
     actual_kind: RelationKind
     training_accuracy: float
     predictive_accuracy: float | None
     rule_size: int
     test_set_size: int
     training_set_size: int
+
+    @property
+    def declared_kind(self) -> RelationKind:
+        """The kind the window shape (w, pos) declares."""
+        return declared_kind(self.w, self.pos)
 
     def scored(self, mode: str) -> tuple[float, int]:
         """The accuracy `mode` selects and its record count; predictive mode
@@ -353,16 +357,14 @@ def _run_single(
         test_set = temporalise(spec, test)
         predictive_accuracy = evaluate(rule_set, test_set)
         test_size = test_set.n
-    declared = declared_kind(w, pos)
     if rule_set.tested:
         actual = classify_times((t for _, t in rule_set.tested), pos)
     else:
         # a bare majority rule carries no temporal evidence either way
-        actual = declared
+        actual = declared_kind(w, pos)
     return TestOutcome(
         w=w,
         pos=pos,
-        declared_kind=declared,
         actual_kind=actual,
         training_accuracy=training_accuracy,
         predictive_accuracy=predictive_accuracy,

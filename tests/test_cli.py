@@ -391,6 +391,18 @@ class TestAnalyze:
         assert code == 3
         assert err == f"timerules: data error: {data}: line 3 is not UTF-8 text\n"
 
+    def test_unnamed_header_column_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "blank.csv"
+        data.write_text("x,c,\n" + "1,a,\n2,b,\n" * 20, encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "analyze", "--data", str(data), "--all-attributes",
+            "--out", str(tmp_path / "r"),
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err == f"timerules: data error: {data}: column 3 of the header has no name\n"
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
         data.write_text("x,c\n1," + "a" * 200000 + "\n2,b\n", encoding="utf-8")

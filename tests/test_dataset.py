@@ -12,7 +12,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from timerules.dataset import (
-    _PEELED_CODES,
     AttributeSchema,
     DataError,
     EventSequence,
@@ -124,6 +123,15 @@ class TestLoadCsv:
         with pytest.raises(DataError) as excinfo:
             load_csv(path)
         assert str(excinfo.value) == f"{path}: attribute names must be unique, but 'x' repeats"
+
+    @pytest.mark.parametrize("header, column", [("x,c,", 3), ("x, ,c", 2)])
+    def test_an_unnamed_header_column_is_rejected(self, tmp_path, header, column):
+        path = write(tmp_path, f"{header}\n1,a,b\n2,b,a\n")
+        with pytest.raises(DataError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: column {column} of the header has no name"
+        # a first row read as data may hold an empty cell
+        assert load_csv(path, header_mode="positional").attribute_names == ("a1", "a2", "a3")
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
@@ -567,9 +575,8 @@ def symbols(count):
 class TestWholeArrayCounts:
     """`counts` against `Counter` over a plain list, key order included.
 
-    A one-byte array's first `_PEELED_CODES` codes are counted by
-    deleting bytes and the rest by `Counter`, and a wider array by
-    `Counter` alone, so each case crosses one of those ways.
+    A one-byte array's codes are counted by deleting bytes, and a wider
+    array's by `Counter`, so each case crosses one of those ways.
     """
 
     def check(self, domain, column, lane):
@@ -599,15 +606,18 @@ class TestWholeArrayCounts:
         self.check(symbols(5), [rng.choice(symbols(4)) for _ in range(60)] + ["s4"], "B")
 
     @pytest.mark.parametrize(
-        "distinct", [_PEELED_CODES - 1, _PEELED_CODES, _PEELED_CODES + 1, 2 * _PEELED_CODES]
+        "distinct, spread",
+        [(31, 5), (32, 5), (33, 5), (64, 5), (200, 2)],
+        ids=["31", "32", "33", "64", "200"],
     )
-    def test_distinct_codes_either_side_of_the_peeling_cutoff(self, distinct):
-        # skewed counts, and codes shuffled so none appears in code order
+    def test_many_distinct_one_byte_codes(self, distinct, spread):
+        # each code 2 to spread + 1 times, so skewed counts, or near-uniform
+        # ones for 200 codes; codes shuffled so none appears in code order
         rng = random.Random(distinct)
         domain = symbols(distinct)
         order = list(domain)
         rng.shuffle(order)
-        column = [s for k, s in enumerate(order) for _ in range(1 + k % 5)]
+        column = [s for k, s in enumerate(order) for _ in range(1 + k % spread)]
         rng.shuffle(column)
         self.check(domain, order + column, "B")
 
