@@ -29,6 +29,7 @@ from .verdict import (
     TestOutcome,
     VerdictReport,
     compute_accuracy_interval,
+    judge,
     rule_generator_run_count,
     run_timers,
     select_relation,
@@ -63,6 +64,7 @@ __all__ = [
     "generate_periodic",
     "generate_robot_walk",
     "induce",
+    "judge",
     "load_csv",
     "rule_generator_run_count",
     "run_timers",

@@ -29,7 +29,7 @@ DATA_ERROR = 3
 
 # the config keys of each generator kind, which are also its flag names
 _GENERATOR_KEYS = {
-    "robot": ("width", "height", "steps", "seed"),
+    "robot": tuple(field.name for field in fields(RobotWorldConfig)),
     "periodic": ("period", "steps"),
 }
 
@@ -113,10 +113,8 @@ def _add_generate(subparsers) -> None:
     kinds = p.add_subparsers(dest="kind", required=True)
 
     robot = kinds.add_parser("robot", help="bounded-board random walk")
-    robot.add_argument("--width", type=int, default=8)
-    robot.add_argument("--height", type=int, default=8)
-    robot.add_argument("--steps", type=int, default=3000)
-    robot.add_argument("--seed", type=int, default=0)
+    for field in fields(RobotWorldConfig):
+        robot.add_argument(f"--{field.name}", type=int, default=field.default)
     robot.add_argument("--out", required=True, help="CSV output path")
 
     periodic = kinds.add_parser("periodic", help="cycling single-attribute series")

@@ -386,9 +386,8 @@ class _TreeBuilder:
         order a row-by-row scan would produce: classes and discrete values
         in first-appearance order within the node, numeric cuts in
         ascending value order, the high side of a cut in the node's class
-        order. Every entropy term over at most `_SMALL_NODE` rows, and a
-        discrete split's info terms on a node of at most that many, are
-        read from `_TERMS`. A numeric split's info is computed, as its high
+        order. A discrete split's info is the `_entropy` of its value
+        sizes. A numeric split's info is computed inline, as its high
         side's share `1.0 - p_low` is not `(total - cut) / total` in floats.
         Of float-equal scores the first wins, but scores equal in real
         numbers may differ in floats (ROADMAP item 1).
@@ -402,7 +401,6 @@ class _TreeBuilder:
         numeric split and None for a discrete one.
         """
         parent_entropy = _entropy(counts.values(), total)
-        terms = _TERMS[total] if total <= _SMALL_NODE else None
         best = None
         # the winner's (positive-gain flag, gain ratio), compared lexicographically
         best_positive, best_ratio = -1, -math.inf
@@ -415,17 +413,14 @@ class _TreeBuilder:
             live.append(column)
             if domain is not None:
                 children = 0.0
-                split_info = 0.0
+                sizes = []
                 for group in by_value.values():
                     size = sum(group.values())
+                    sizes.append(size)
                     if len(group) > 1:  # a one-class group's term is exactly 0.0
                         children += size / total * _entropy(group.values(), size)
-                    if terms is None:
-                        p = size / total
-                        split_info -= p * math.log2(p)
-                    else:
-                        split_info -= terms[size]
                 gain = parent_entropy - children
+                split_info = _entropy(sizes, total)
                 positive, ratio = gain > _GAIN_EPS, gain / split_info
                 if positive > best_positive or positive == best_positive and ratio > best_ratio:
                     best_positive, best_ratio = positive, ratio

@@ -6,8 +6,8 @@ strictly before (p-causal), none at t0 with at least one after
 (acausal), anything else mixed. `classify_times` is the one judge; it
 reads only the set of tested times, so the sweep calls it with the times
 an induced tree tests and `classify_rule_set` with those of a rule list.
-Conceptual simplicity orders the first three: instantaneous < acausal <
-p-causal.
+`COMPETING_KINDS`, the kinds a verdict can name, lists the first three
+in order of conceptual simplicity: instantaneous < acausal < p-causal.
 """
 
 from __future__ import annotations
@@ -29,19 +29,18 @@ class RelationKind(Enum):
         return self.value
 
 
-_SIMPLICITY_RANK = {
-    RelationKind.INSTANTANEOUS: 0,
-    RelationKind.ACAUSAL: 1,
-    RelationKind.P_CAUSAL: 2,
-}
+COMPETING_KINDS = (
+    RelationKind.INSTANTANEOUS,
+    RelationKind.ACAUSAL,
+    RelationKind.P_CAUSAL,
+)
 
 
 def simplicity_rank(kind: RelationKind) -> int:
     """Position in the simplicity order; mixed kinds have no rank."""
-    try:
-        return _SIMPLICITY_RANK[kind]
-    except KeyError:
-        raise ValueError(f"{kind} has no place in the simplicity order") from None
+    if kind not in COMPETING_KINDS:
+        raise ValueError(f"{kind} has no place in the simplicity order")
+    return COMPETING_KINDS.index(kind)
 
 
 def is_simpler(left: RelationKind, right: RelationKind) -> bool:

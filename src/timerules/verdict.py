@@ -1,13 +1,13 @@
 """Window/position sweep, confidence intervals, and the final verdict.
 
-One run evaluates the instantaneous rule set plus every (w, pos) in the
-requested window range, each once, buckets the outcomes by the actual
-temporal kind of their rules (a rule set without conditions keeps its
-declared kind), and lets the best representatives compete through
-`select_relation`: overlapping accuracy intervals favour the conceptually
-simpler kind (when it is also no larger), disjoint intervals favour raw
-accuracy. The report stores what the sweep computed and derives the
-rest.
+`run_timers` evaluates the instantaneous rule set plus every (w, pos) in
+the requested window range, each once, and `judge` reads the verdict off
+those outcomes alone: it buckets them by the actual temporal kind of
+their rules (a rule set without conditions keeps its declared kind), and
+lets each kind's best compete through `select_relation`: overlapping
+accuracy intervals favour the conceptually simpler kind (when it is also
+no larger), disjoint intervals favour raw accuracy. The report stores
+what the sweep computed and derives the rest.
 
 A job is just (d, w, pos). The sweep's train and test sequences reach
 each process-pool worker once, through the pool initializer, so the
@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 from .dataset import DataError, EventSequence, as_discrete, split_chronological
 from .induction import evaluate, induce
 from .semantics import (
+    COMPETING_KINDS,
     RelationKind,
     classify_rule_set,  # noqa: F401  unused; benchmarks/spans.py wraps it in this module
     classify_times,
@@ -38,12 +39,6 @@ from .temporalise import TemporalisationSpec, reject_missing, temporalise
 PREFERENCES = ("higher_accuracy", "simpler_method")
 ACCURACY_MODES = ("predictive", "training")
 INTERVAL_METHODS = ("normal", "wilson")
-
-COMPETING_KINDS = (
-    RelationKind.INSTANTANEOUS,
-    RelationKind.ACAUSAL,
-    RelationKind.P_CAUSAL,
-)
 
 
 @dataclass(frozen=True)
@@ -389,7 +384,7 @@ def _run_job(job: tuple[str, int, int]) -> TestOutcome:
 
 
 def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictReport:
-    """Sweep the window range over `data` and render a verdict for spec.d.
+    """Sweep the window range over `data` and `judge` the outcomes for spec.d.
 
     The decision attribute's values are treated as class labels; numeric
     columns are relabelled accordingly before the sweep. When alpha is 1
@@ -419,16 +414,26 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(train, test)
         ) as executor:
-            ordered = tuple(executor.map(_run_job, jobs))
+            outcomes = tuple(executor.map(_run_job, jobs))
     else:
-        ordered = tuple(_run_single(train, test, *job) for job in jobs)
+        outcomes = tuple(_run_single(train, test, *job) for job in jobs)
+    return judge(spec, outcomes)
+
+
+def judge(spec: RunSpec, outcomes: Sequence[TestOutcome]) -> VerdictReport:
+    """The verdict `spec` reads off `outcomes`, with no data and no learner.
+
+    A kind's best is its most accurate outcome, of those the one with the
+    fewest rules, then the lowest (w, pos). No verdict is given when no
+    best reaches `spec.ac_th`, or no outcome has a competing kind.
+    """
     mode = spec.accuracy_mode
     best: dict[RelationKind, TestOutcome | None] = {}
     intervals: dict[RelationKind, AccuracyInterval | None] = dict.fromkeys(COMPETING_KINDS)
     candidates = []
     for kind in COMPETING_KINDS:
         outcome = best[kind] = min(
-            (o for o in ordered if o.actual_kind == kind),
+            (o for o in outcomes if o.actual_kind == kind),
             key=lambda o: (-o.scored(mode)[0], o.rule_size, o.w, o.pos),
             default=None,
         )
@@ -438,8 +443,6 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
                 accuracy, n, spec.cl, spec.interval_method
             )
             candidates.append(Candidate(kind, accuracy, outcome.rule_size, interval))
-
-    selection = None
-    if max(c.accuracy for c in candidates) >= spec.ac_th:
-        selection = select_relation(candidates, spec.preference)
-    return VerdictReport(spec, ordered, best, intervals, selection)
+    verdict = any(c.accuracy >= spec.ac_th for c in candidates)
+    selection = select_relation(candidates, spec.preference) if verdict else None
+    return VerdictReport(spec, tuple(outcomes), best, intervals, selection)

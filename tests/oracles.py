@@ -11,6 +11,7 @@ import math
 import re
 import sys
 from collections import Counter
+from statistics import NormalDist
 
 from timerules.induction import Condition, Rule
 
@@ -376,3 +377,88 @@ class ReferenceTree:
             predicted = self.default if node is None else node[1]
             hits += predicted == record[-1]
         return hits / len(data.records)
+
+
+# --- reference judge ----------------------------------------------------------
+#
+# The verdict rule of the paper, read off an outcome table: each competing
+# kind's best showing, its confidence interval, the accuracy threshold and
+# the sequential selection. Only the outcomes' fields are read.
+
+SIMPLEST_FIRST = ("instantaneous", "acausal", "p-causal")
+
+
+def _measured(outcome, mode):
+    """(accuracy, records) that `mode` scores; predictive mode falls back to
+    training when no predictive accuracy was measured."""
+    if mode == "predictive" and outcome.predictive_accuracy is not None:
+        return outcome.predictive_accuracy, outcome.test_set_size
+    return outcome.training_accuracy, outcome.training_set_size
+
+
+def _interval(accuracy, n, cl, method):
+    """(lo, hi) of the normal or Wilson interval at level cl, clipped to [0, 1]."""
+    z = NormalDist().inv_cdf((1 + cl) / 2)
+    if method == "normal":
+        half = z * math.sqrt(accuracy * (1 - accuracy) / n)
+        lo, hi = accuracy - half, accuracy + half
+    else:
+        # (a + z²/2n ± z·sqrt(a(1 - a)/n + z²/4n²)) / (1 + z²/n)
+        middle = accuracy + z * z / (2 * n)
+        spread = z * math.sqrt(accuracy * (1 - accuracy) / n + z * z / (4 * n * n))
+        scale = 1 + z * z / n
+        lo, hi = (middle - spread) / scale, (middle + spread) / scale
+    return max(0.0, lo), min(1.0, hi)
+
+
+def reference_judge(spec, outcomes) -> dict:
+    """The final call and each competing kind's best, as `VerdictReport.to_dict` has them.
+
+    A kind's best is its most accurate outcome; of those, the one with
+    the fewest rules; of those, the lowest (w, pos). A verdict needs some
+    best to reach `ac_th`. The bests are then visited one by one, by
+    ascending accuracy when accuracy is preferred and by descending
+    accuracy when simplicity is, the less simple kind first on equal
+    accuracy. A challenger whose interval overlaps the winner's takes
+    over when its kind is simpler and it has no more rules; one whose
+    interval is disjoint takes over when it is more accurate.
+    """
+    best = {}
+    for kind in SIMPLEST_FIRST:
+        pool = [o for o in outcomes if str(o.actual_kind) == kind]
+        if not pool:
+            best[kind] = None
+            continue
+        top = max(_measured(o, spec.accuracy_mode)[0] for o in pool)
+        pool = [o for o in pool if _measured(o, spec.accuracy_mode)[0] == top]
+        fewest = min(o.rule_size for o in pool)
+        chosen = min((o for o in pool if o.rule_size == fewest), key=lambda o: (o.w, o.pos))
+        accuracy, n = _measured(chosen, spec.accuracy_mode)
+        lo, hi = _interval(accuracy, n, spec.cl, spec.interval_method)
+        best[kind] = {
+            "w": chosen.w,
+            "pos": chosen.pos,
+            "accuracy": accuracy,
+            "rule_size": chosen.rule_size,
+            "interval": {"lo": lo, "hi": hi, "n": n},
+        }
+
+    shown = [(kind, b) for kind, b in best.items() if b is not None]
+    if not any(b["accuracy"] >= spec.ac_th for _, b in shown):
+        return {"best": best, "final": "no-verdict"}
+    # less simple first, then a stable sort by accuracy keeps that among equals
+    visits = sorted(shown, key=lambda kb: SIMPLEST_FIRST.index(kb[0]), reverse=True)
+    visits.sort(key=lambda kb: kb[1]["accuracy"], reverse=spec.preference == "simpler_method")
+    winner, held = visits[0]
+    for kind, challenger in visits[1:]:
+        a, b = challenger["interval"], held["interval"]
+        if a["lo"] <= b["hi"] and b["lo"] <= a["hi"]:
+            takes_over = (
+                SIMPLEST_FIRST.index(kind) < SIMPLEST_FIRST.index(winner)
+                and challenger["rule_size"] <= held["rule_size"]
+            )
+        else:
+            takes_over = challenger["accuracy"] > held["accuracy"]
+        if takes_over:
+            winner, held = kind, challenger
+    return {"best": best, "final": winner}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import timerules.verdict
 from timerules.cli import build_parser, main, worker_count
 from timerules.dataset import load_csv
 from timerules.verdict import RunSpec, run_timers
+from timerules.worlds import RobotWorldConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
@@ -129,6 +131,11 @@ class TestGenerate:
         assert code == 0
         values = [v for (v,) in load_csv(out).records]  # reloads as numeric
         assert values == [i % 8 for i in range(40)]
+
+    def test_robot_flag_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["generate", "robot", "--out", "w.csv"])
+        defaults = asdict(RobotWorldConfig())
+        assert {key: getattr(args, key) for key in defaults} == defaults
 
     def test_same_flags_reproduce_bytes(self, tmp_path, capsys):
         first = tmp_path / "one.csv"

@@ -10,19 +10,26 @@ import timerules.verdict
 from timerules.dataset import AttributeSchema, DataError
 from timerules.semantics import RelationKind
 from timerules.verdict import (
+    ACCURACY_MODES,
+    INTERVAL_METHODS,
+    PREFERENCES,
     AccuracyInterval,
     Candidate,
     RunSpec,
     compute_accuracy_interval,
+    judge,
     rule_generator_run_count,
     run_timers,
     select_relation,
 )
+from timerules.verdict import TestOutcome as Outcome  # not a test class
 from timerules.worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
 
+from oracles import reference_judge
 from tables import from_rows
 
 I, A, P = RelationKind.INSTANTANEOUS, RelationKind.ACAUSAL, RelationKind.P_CAUSAL
+M = RelationKind.MIXED
 
 
 def interval(lo, hi, center=None, n=100, cl=0.9):
@@ -479,3 +486,96 @@ class TestRunTimers:
             "Actual", "rules",
         ]
         assert text.strip().endswith("for attribute x, the relation is acausal")
+
+
+# accuracies and thresholds share one grid, so ties and exact threshold hits happen
+GRID = tuple(k / 8 for k in range(9))
+WINDOWS = tuple((w, pos) for w in range(1, 6) for pos in range(1, w + 1))
+
+
+@st.composite
+def outcome_tables(draw):
+    """A run spec and 1-15 outcomes of distinct (w, pos) and any kind, mixed included."""
+    windows = draw(st.lists(st.sampled_from(WINDOWS), min_size=1, max_size=15, unique=True))
+    outcomes = []
+    for w, pos in windows:
+        predictive = draw(st.one_of(st.none(), st.sampled_from(GRID)))
+        outcomes.append(
+            Outcome(
+                w=w,
+                pos=pos,
+                actual_kind=draw(st.sampled_from(RelationKind)),
+                training_accuracy=draw(st.sampled_from(GRID)),
+                predictive_accuracy=predictive,
+                rule_size=draw(st.integers(1, 4)),
+                test_set_size=0 if predictive is None else draw(st.sampled_from((8, 40, 200))),
+                training_set_size=draw(st.sampled_from((8, 40, 200))),
+            )
+        )
+    spec = RunSpec(
+        d="c",
+        ac_th=draw(st.sampled_from(GRID)),
+        cl=draw(st.sampled_from((0.5, 0.9, 0.99))),
+        preference=draw(st.sampled_from(PREFERENCES)),
+        accuracy_mode=draw(st.sampled_from(ACCURACY_MODES)),
+        interval_method=draw(st.sampled_from(INTERVAL_METHODS)),
+    )
+    return spec, outcomes
+
+
+class TestJudge:
+    @settings(max_examples=500, deadline=None)
+    @given(table=outcome_tables())
+    def test_judge_follows_the_reference_rules(self, table):
+        spec, outcomes = table
+        got = judge(spec, outcomes).to_dict()
+        want = reference_judge(spec, outcomes)
+        assert got["final"] == want["final"]
+        assert got["best"].keys() == want["best"].keys()
+        for kind, best in want["best"].items():
+            if best is None:
+                assert got["best"][kind] is None
+                continue
+            mine = got["best"][kind]
+            assert (mine["w"], mine["pos"], mine["accuracy"], mine["rule_size"]) == (
+                best["w"], best["pos"], best["accuracy"], best["rule_size"]
+            )
+            assert mine["interval"]["n"] == best["interval"]["n"]
+            assert mine["interval"]["lo"] == pytest.approx(best["interval"]["lo"], abs=1e-12)
+            assert mine["interval"]["hi"] == pytest.approx(best["interval"]["hi"], abs=1e-12)
+
+    def test_judge_reproduces_every_run_report(self):
+        walk = generate_robot_walk(RobotWorldConfig(steps=300, seed=4))
+        reports = [
+            run_timers(RunSpec(d="x", beta=3, test_count=60), walk),
+            run_timers(RunSpec(d="x", beta=3, test_count=40), generate_periodic(8, 240)),
+            run_timers(RunSpec(d="c", beta=3, ac_th=0.9, test_count=32), noise_sequence(5)),
+        ]
+        assert [r.final for r in reports] == ["p-causal", "acausal", "no-verdict"]
+        for report in reports:
+            assert judge(report.spec, report.outcomes).to_dict() == report.to_dict()
+
+    def test_judge_runs_no_learner(self, monkeypatch):
+        report = run_timers(RunSpec(d="x", beta=3, test_count=40), generate_periodic(8, 240))
+
+        def refuse(*args):
+            raise AssertionError("judge touched the data")
+
+        for name in ("induce", "evaluate", "temporalise"):
+            monkeypatch.setattr(timerules.verdict, name, refuse)
+        assert judge(report.spec, report.outcomes).to_dict() == report.to_dict()
+
+    @pytest.mark.parametrize("kinds", [(), (M,), (M, M)])
+    def test_table_without_a_competing_kind_gets_no_verdict(self, kinds):
+        outcomes = [
+            Outcome(w, 1, kind, 1.0, 1.0, 2, 10, 40) for w, kind in enumerate(kinds, 2)
+        ]
+        report = judge(RunSpec(d="c", ac_th=0.0), outcomes)
+        assert report.final == "no-verdict"
+        assert report.selection is None
+        assert list(report.to_dict()["best"].items()) == [
+            ("instantaneous", None), ("acausal", None), ("p-causal", None),
+        ]
+        text = report.render_text()
+        assert text.count("no qualifying rule set") == 3
+        assert text.endswith("No verdict")
