@@ -333,9 +333,19 @@ def _not_finite(token: str) -> str:
 
 
 def _infer_column(
-    name: str, tokens: Sequence[str], where: str, first_line: int
+    name: str, cells: Sequence[str], where: str, first_line: int
 ) -> tuple[AttributeSchema, tuple[object, ...]]:
-    observed = [t for t in tokens if t != MISSING_TOKEN]
+    """The attribute and values of one column of raw CSV `cells`.
+
+    Each distinct cell is stripped, classified and parsed once, in
+    first-appearance order, into one cell -> value table that the column
+    is then read through. So ` 1` and `1` each read as the int 1, a `1.0`
+    beside them as a float, and a discrete domain, first-appearance
+    order of the stripped symbols, is that of the distinct cells.
+    """
+    raw = dict.fromkeys(cells)
+    tokens = list(map(str.strip, raw))
+    observed = [t for t in tokens if t != MISSING_TOKEN] if MISSING_TOKEN in tokens else tokens
     if not observed:
         raise DataError(f"column {name!r} has no observed values")
     text = "".join(observed)
@@ -343,7 +353,7 @@ def _infer_column(
     # which a CSV means as symbols
     if text.isascii() and "_" not in text:
         try:
-            return AttributeSchema(name, "numeric"), tuple(map(int, tokens))
+            return AttributeSchema(name, "numeric"), _decode(cells, raw, map(int, tokens))
         except ValueError:  # a float, a symbol, "?" or an over-long integer
             pass
         try:  # raises at the first symbol, so the column is discrete
@@ -351,27 +361,38 @@ def _infer_column(
         except ValueError:
             pass
         else:
-            for i, value in enumerate(numbers):
+            for k, value in enumerate(numbers):
                 if isinstance(value, float) and not math.isfinite(value):
+                    # the first distinct cell reading so is the column's first
+                    row = first_line + cells.index(list(raw)[k])
                     raise DataError(
-                        f"{where}: row {first_line + i}, column {name!r}: "
-                        + _not_finite(tokens[i])
+                        f"{where}: row {row}, column {name!r}: " + _not_finite(tokens[k])
                     )
-            return AttributeSchema(name, "numeric"), tuple(numbers)
+            return AttributeSchema(name, "numeric"), _decode(cells, raw, numbers)
     domain = tuple(dict.fromkeys(observed))
-    values = tuple([None if t == MISSING_TOKEN else t for t in tokens])
-    return AttributeSchema(name, "discrete", domain), values
+    symbols = [None if t == MISSING_TOKEN else t for t in tokens]
+    return AttributeSchema(name, "discrete", domain), _decode(cells, raw, symbols)
+
+
+def _decode(cells: Sequence[str], raw: dict[str, object], values: Iterable) -> tuple:
+    """`cells` read through `raw`, the table of distinct cells, given `values` in its order."""
+    # replacing the values of present keys leaves the keys, and so zip's view, as they are
+    raw.update(zip(raw, values))
+    return tuple(map(raw.__getitem__, cells))
 
 
 def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> EventSequence:
     """Load a comma-separated UTF-8 file into an EventSequence.
 
     A leading byte-order mark is skipped; a bad UTF-8 byte or an over-long
-    field is a DataError naming its line. A column is numeric iff every
-    non-missing cell is an ASCII decimal or float literal without `_`
-    separators; otherwise it is discrete with its symbols collected in
-    first-appearance order. A numeric column may not hold `nan` or
-    `inf`: no threshold can order them. Row order is the temporal order.
+    field is a DataError naming its line, and a row of the wrong width
+    one naming the first such row. A column is numeric iff every
+    non-missing cell, stripped of surrounding whitespace, is an ASCII
+    decimal or float literal without `_` separators; otherwise it is
+    discrete with its symbols collected in first-appearance order. A
+    numeric column may not hold `nan` or `inf`: no threshold can order
+    them. Row order is the temporal order. Each distinct cell of a column
+    is parsed once (see `_infer_column`).
     """
     if header_mode not in get_args(HeaderMode):
         raise ValueError(f"unknown header_mode {header_mode!r}")
@@ -397,18 +418,15 @@ def load_csv(path: str | Path, header_mode: HeaderMode = "first-row-names") -> E
         raise DataError(f"{path}: no data rows")
 
     width = len(names)
-    for i, row in enumerate(data):
-        if len(row) != width:
-            line = i + first_line
-            raise DataError(
-                f"{path}: row {line} has {len(row)} columns, expected {width}"
-            )
+    if set(map(len, data)) != {width}:
+        i = next(i for i, row in enumerate(data) if len(row) != width)
+        raise DataError(
+            f"{path}: row {i + first_line} has {len(data[i])} columns, expected {width}"
+        )
 
     schema, columns = [], []
     for j, name in enumerate(names):
-        attribute, values = _infer_column(
-            name, [row[j].strip() for row in data], str(path), first_line
-        )
+        attribute, values = _infer_column(name, [row[j] for row in data], str(path), first_line)
         schema.append(attribute)
         columns.append(values)
     try:

@@ -57,6 +57,11 @@ counts: a leaf root from the class counts, a discrete root whose
 branches are all leaves from its column's pair counts. Any deeper tree
 routes every row down from the root, fetching only the columns the rows
 reach and the decision column.
+
+Growing a tree, routing rows down it and reading its rules each walk it
+from an explicit stack, never by recursion: gain ratio favours cuts that
+peel off one row, so a column of distinct numbers can grow a chain of
+splits deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -251,17 +256,32 @@ class _TreeBuilder:
         return self.leaf_of[min(k for k, c in counts.items() if c == best)]
 
     def build(self, indices: Sequence[int], columns: list[tuple], counts: dict[int, int]):
-        """The subtree over rows `indices`, scanning only `columns`.
+        """The tree over rows `indices`, grown one `_grow` call per node from a stack."""
+        tree: dict = {}
+        stack = [(tree, None, indices, columns, counts)]
+        pop, grow = stack.pop, self._grow
+        while stack:
+            branches, outcome, rows, live, group = pop()
+            branches[outcome] = grow(rows, live, group, stack)
+        return tree[None]
+
+    def _grow(
+        self, indices: Sequence[int], columns: list[tuple], counts: dict[int, int], stack: list
+    ):
+        """The node over rows `indices`, scanning only `columns`.
 
         The rows, a `range` at the root, hold at least two classes, and
         `counts` are their class counts in first-appearance order. Each
         child inherits its class counts from the winning split: one that
-        holds one class becomes its class's shared leaf and is not built,
+        holds one class becomes its class's shared leaf and is not grown,
         and an empty discrete branch the leaf of the node's majority class,
         which is looked up only when such a branch, or a node no column
-        splits, needs it. A discrete split groups only its impure
-        children's rows. A node of two rows below the root takes its split
-        from `_two_row_split`, which counts nothing.
+        splits, needs it. Any other child is pushed on `stack` as
+        `(branches, outcome, rows, live columns, counts)` and holds None in
+        the split's branches, which are filled in outcome order, until it
+        is grown. A discrete split groups only its impure children's rows.
+        A node of two rows below the root takes its split from
+        `_two_row_split`, which counts nothing.
 
         A numeric split's threshold is the midpoint of the values either
         side of the cut if it lies in [below, above), else `below` itself
@@ -307,11 +327,9 @@ class _TreeBuilder:
             )
         branches = {}
         for outcome, rows, group in parts:
-            branches[outcome] = (
-                empty
-                if group is None
-                else self._pure_leaf(group) or self.build(rows, live, group)
-            )
+            leaf = branches[outcome] = empty if group is None else self._pure_leaf(group)
+            if leaf is None:
+                stack.append((branches, outcome, rows, live, group))
         self.leaves += len(branches) - 1
         return _Split(key, threshold, branches)
 
@@ -467,41 +485,55 @@ def _leaves(node, columns: Mapping, indices: list[int]):
     """Yield (leaf value, rows reaching that leaf) for the rows `indices`.
 
     `columns` maps a column's key to its values. Rows whose symbol has no
-    branch leave the tree; they come first, with value None.
+    branch leave the tree, with value None.
     """
     if isinstance(node, _Leaf):
         yield node.value, indices
         return
-    column = columns[node.key]
-    threshold = node.threshold
-    if threshold is None:
-        groups, stray = _group(column, indices, node.branches)
-        if stray:
-            yield None, stray
-        parts = groups.values()
-    else:
-        low: list[int] = []
-        high: list[int] = []
-        for i in indices:
-            (low if column[i] <= threshold else high).append(i)
-        parts = (low, high)
-    for child, rows in zip(node.branches.values(), parts):
-        if rows:
-            yield from _leaves(child, columns, rows)
-
-
-def _extract_rules(node, path=()):
-    """Yield (conditions, leaf value) per leaf below `node`, in branch order."""
-    if isinstance(node, _Leaf):
-        yield path, node.value
-        return
-    for outcome, child in node.branches.items():
-        if node.threshold is None:
-            condition = Condition(*node.key, "=", outcome)
+    stack = [(node, indices)]
+    while stack:
+        node, indices = stack.pop()
+        column = columns[node.key]
+        threshold = node.threshold
+        if threshold is None:
+            groups, stray = _group(column, indices, node.branches)
+            if stray:
+                yield None, stray
+            parts = groups.values()
         else:
-            op = ">" if outcome else "<="
-            condition = Condition(*node.key, op, node.threshold)
-        yield from _extract_rules(child, (*path, condition))
+            low: list[int] = []
+            high: list[int] = []
+            for i in indices:
+                (low if column[i] <= threshold else high).append(i)
+            parts = (low, high)
+        for child, rows in zip(node.branches.values(), parts):
+            if not rows:
+                continue
+            if isinstance(child, _Leaf):
+                yield child.value, rows
+            else:
+                stack.append((child, rows))
+
+
+def _extract_rules(node):
+    """Yield (conditions, leaf value) per leaf below `node`, in branch order.
+
+    A split pushes its branches on the stack last first, so the walk is
+    depth first in branch order.
+    """
+    stack = [(node, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, _Leaf):
+            yield path, node.value
+            continue
+        for outcome, child in reversed(node.branches.items()):
+            if node.threshold is None:
+                condition = Condition(*node.key, "=", outcome)
+            else:
+                op = ">" if outcome else "<="
+                condition = Condition(*node.key, op, node.threshold)
+            stack.append((child, (*path, condition)))
 
 
 def induce(train: TemporalisedDataset) -> RuleSet:

@@ -2,6 +2,7 @@ import csv
 import math
 import random
 import re
+import string
 import sys
 import tempfile
 from collections import Counter
@@ -81,6 +82,25 @@ def csv_columns(draw):
         tokens.insert(at, draw(st.sampled_from(SYMBOL_TOKENS)))
     assume(set(tokens) != {"?"})
     return tokens
+
+
+@st.composite
+def repeating_columns(draw):
+    """One CSV column's tokens and raw cells, drawn from a small pool so that cells repeat.
+
+    The pool holds numbers, "?", non-finite tokens, equal numbers spelled
+    apart (1, 1.0, 01, +1) and, in one column of four, a symbol. Each
+    cell pads its token with ASCII whitespace, so one token also arrives
+    as distinct cells.
+    """
+    common = st.sampled_from(("1", "1.0", "01", "+1", "?", "nan", "-inf"))
+    pool = draw(st.lists(st.one_of(NUMBER_TOKENS, common), min_size=1, max_size=5))
+    if draw(st.integers(0, 3)) == 0:
+        pool.append(draw(st.sampled_from(SYMBOL_TOKENS)))
+    tokens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+    assume(set(tokens) != {"?"})
+    pad = st.text(string.whitespace, max_size=2)
+    return tokens, [draw(pad) + token + draw(pad) for token in tokens]
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -257,14 +277,23 @@ class TestLoadCsv:
         with pytest.raises(ValueError):
             load_csv(write(tmp_path, "1\n"), header_mode="sideways")
 
-    @settings(max_examples=300, deadline=None)
-    @given(csv_columns())
-    @example(["1.5", "a"])
-    @example(["?", "2", "0.5", "-3e2", "b"])
-    def test_column_kind_and_values_agree_with_the_oracle(self, tokens):
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(csv_columns().map(lambda tokens: (tokens, tokens)), repeating_columns()))
+    @example((["1.5", "a"], ["1.5", "a"]))
+    @example((["?", "2", "0.5", "-3e2", "b"], ["?", "2", "0.5", "-3e2", "b"]))
+    # a non-finite token that repeats is named at its first row, padded or not
+    @example((["1", "inf", "2", "inf"], ["1", "inf", "2", "inf"]))
+    @example((["1", "inf", "2", "inf"], ["1", "inf", "2", " inf"]))
+    @example((["1", "1.0", "?", "01", "+1"], [" 1", "1.0", "?\t", "01", "+1 "]))
+    def test_column_kind_and_values_agree_with_the_oracle(self, column):
+        # a column is decoded once per distinct raw cell, and each cell must
+        # still load as its stripped token alone says
+        tokens, cells = column
         kind, detail = column_kind(tokens)
         with tempfile.TemporaryDirectory() as folder:
-            path = write(Path(folder), "x\n" + "\n".join(tokens) + "\n")
+            path = Path(folder) / "data.csv"
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                csv.writer(handle).writerows([["x"], *([cell] for cell in cells)])
             if kind == "non-finite":
                 with pytest.raises(DataError, match=f"row {detail + 2}, column 'x'"):
                     load_csv(path)
@@ -273,6 +302,24 @@ class TestLoadCsv:
         assert data.schema[0].kind == kind
         assert data.columns[0] == detail
         assert list(map(type, data.columns[0])) == list(map(type, detail))
+        if kind == "discrete":
+            assert data.schema[0].domain == tuple(dict.fromkeys(t for t in tokens if t != "?"))
+
+    @pytest.mark.parametrize(
+        ("text", "row", "width"),
+        [
+            ("x,y\n1,2\n3,4,5\n6\n7,8,9\n", 3, 3),
+            ("x,y\n1,2\n3,4\n5\n6,7,8\n9\n", 4, 1),
+            # csv reads a blank line as an empty row
+            ("x,y\n1,2\n\n3,4,5\n", 3, 0),
+        ],
+        ids=["wider-first", "narrower-first", "blank-line"],
+    )
+    def test_the_first_row_of_the_wrong_width_is_named(self, tmp_path, text, row, width):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: row {row} has {width} columns, expected 2"
 
 
 class TestRoundTrip:

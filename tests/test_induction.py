@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 from operator import itemgetter
@@ -274,10 +275,10 @@ class TestCounting:
                     assert list(window.counts(column).items()) == counts, (w, pos, column)
 
 
-def spy_build():
-    """Patch `_TreeBuilder.build` with a mock that records every call."""
+def spy_grow():
+    """Patch `_TreeBuilder._grow`, called once per node, with a mock that records every call."""
     return mock.patch.object(
-        _TreeBuilder, "build", autospec=True, side_effect=_TreeBuilder.build
+        _TreeBuilder, "_grow", autospec=True, side_effect=_TreeBuilder._grow
     )
 
 
@@ -393,9 +394,9 @@ class TestPureChildren:
         data = generate_periodic(8, 64)
         for w, pos in ((2, 1), (2, 2)):
             train = temporalise(TemporalisationSpec(w=w, pos=pos, d="x"), data)
-            with spy_build() as build:
+            with spy_grow() as grow:
                 rule_set = induce(train)
-            assert build.call_count == 1
+            assert grow.call_count == 1
             assert rule_set.size == 8
             assert rule_set.render() == "\n".join(ReferenceTree(train).rule_lines())
 
@@ -411,9 +412,9 @@ class TestPureChildren:
             rows = [(v, "A") for v in low] + [(v, "B") for v in high]
             for ordered in (rows, rows[::-1]):
                 train = flat_table(ordered, kinds=["numeric", "discrete"])
-                with spy_build() as build:
+                with spy_grow() as grow:
                     rule_set = induce(train)
-                assert build.call_count == 1
+                assert grow.call_count == 1
                 assert rule_set.size == 2
                 assert rule_set.render() == "\n".join(ReferenceTree(train).rule_lines())
                 assert evaluate(rule_set, train) == 1.0
@@ -446,17 +447,17 @@ class TestPureChildren:
         # entropy sums follow the counts' key order, so a child's inherited
         # counts must be what counting its rows gives, in the same order
         train, _ = tables
-        original = _TreeBuilder.build
+        original = _TreeBuilder._grow
         inherited = []
 
-        def build(self, indices, columns, counts):
+        def grow(self, indices, columns, counts, stack):
             if len(indices) < train.n:
                 recount = Counter(map(self.codes[train.decision_column].__getitem__, indices))
                 assert list(counts.items()) == list(recount.items())
                 inherited.append(counts)
-            return original(self, indices, columns, counts)
+            return original(self, indices, columns, counts, stack)
 
-        with mock.patch.object(_TreeBuilder, "build", build):
+        with mock.patch.object(_TreeBuilder, "_grow", grow):
             induce(train)
         assume(inherited)
 
@@ -544,9 +545,9 @@ class TestTwoRowNodes:
     # one-class leaves; these trees pin which column, which threshold and
     # which class lands on each side.
     def grown(self, train):
-        with spy_build() as build:
+        with spy_grow() as grow:
             rule_set = induce(train)
-        assert [len(call.args[1]) for call in build.call_args_list] == [train.n, 2]
+        assert [len(call.args[1]) for call in grow.call_args_list] == [train.n, 2]
         assert rule_set.render() == "\n".join(ReferenceTree(train).rule_lines())
         return rule_set
 
@@ -582,6 +583,42 @@ class TestTwoRowNodes:
             "IF a@t1=q THEN k@t1=B",
         ]
         assert evaluate(rule_set, rule_set.train) == 5 / 6
+
+
+def frames_below():
+    """How many frames the calling frame stands on, itself included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDeepTrees:
+    def test_a_chain_deeper_than_the_recursion_limit_grows_routes_and_reads(self):
+        # gain ratio favours cuts that peel off one row, so an ascending
+        # column of random classes grows a chain of about n / 2 splits;
+        # with the recursion limit 100 frames above this one, growing the
+        # tree, routing rows down it and reading its rules must not recurse
+        rng = random.Random(0)
+        rows = [(t, rng.choice("ab")) for t in range(600)]
+        schema = (AttributeSchema("t", "numeric"), AttributeSchema("c", "discrete", ("a", "b")))
+        spec = TemporalisationSpec(w=1, pos=1, d="c")
+        data = from_rows(schema, rows)
+        train = temporalise(spec, data)
+        expected = ReferenceTree(train).rule_lines()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames_below() + 100)
+        try:
+            rule_set = induce(train)
+            accuracy = evaluate(rule_set, temporalise(spec, data))
+            lines = rule_set.render().splitlines()
+        finally:
+            sys.setrecursionlimit(limit)
+        # a rule's conditions are its leaf's path, one per split above it
+        assert max(len(rule.conditions) for rule in rule_set.rules) > 250
+        assert rule_set.size == len(expected)
+        assert lines == expected
+        assert accuracy == evaluate(rule_set, train) == 1.0
 
 
 class TestInduce:
