@@ -239,7 +239,7 @@ class EventSequence:
 
     def to_csv(self, path: str | Path, header: bool = True) -> None:
         """Write the table back out; missing values become the "?" token."""
-        write_csv(path, self.attribute_names if header else None, self.records)
+        write_csv(path, self.attribute_names if header else None, self.columns)
 
 
 def _count_codes(codes: array) -> dict[int, int]:
@@ -289,13 +289,13 @@ def format_cell(value: object) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, header: Sequence[str] | None, rows: Iterable) -> None:
-    """Write `header` (when given) and `rows`; missing values become "?"."""
+def write_csv(path: str | Path, header: Sequence[str] | None, columns: Iterable[Iterable]) -> None:
+    """Write `header` (when given), then the rows of `columns`; missing values become "?"."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         if header is not None:
             writer.writerow(header)
-        writer.writerows([format_cell(value) for value in row] for row in rows)
+        writer.writerows(zip(*[map(format_cell, column) for column in columns]))
 
 
 def read_text(path: str | Path) -> str:

@@ -131,8 +131,8 @@ class TemporalisedDataset:
 
     def to_csv(self, path: str | Path) -> None:
         """Debug dump with `attr@t<k>` headers, decision column last."""
-        header = [column_name(a, t) for a, t in self.condition_columns]
-        write_csv(path, header + [column_name(*self.decision_column)], self.records)
+        keys = (*self.condition_columns, self.decision_column)
+        write_csv(path, [column_name(*key) for key in keys], map(self.column, keys))
 
 
 def temporalised_record_count(n: int, w: int) -> int:

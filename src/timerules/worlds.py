@@ -67,7 +67,8 @@ def generate_periodic(period: int, steps: int) -> EventSequence:
         raise ValueError(f"period must be >= 2, got {period}")
     if steps < period:
         raise ValueError(f"steps must cover one full period, got {steps} < {period}")
-    return _discrete_sequence({"x": [str(i % period) for i in range(steps)]})
+    labels = [str(i) for i in range(period)]
+    return _discrete_sequence({"x": labels * (steps // period) + labels[: steps % period]})
 
 
 def _discrete_sequence(columns: dict[str, list[str]]) -> EventSequence:

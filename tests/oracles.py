@@ -7,6 +7,8 @@ principles so the checks stay two-sided.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 import sys
@@ -106,6 +108,26 @@ def column_kind(tokens) -> tuple[str, object]:
         else:
             return "non-finite", i
     return "numeric", tuple(values)
+
+
+def csv_by_rows(header, records) -> bytes:
+    """The UTF-8 bytes of a CSV written row by row with `csv.writer`.
+
+    `header` (when not None) is the first row; each record's cells
+    follow as `str(cell)`, with "?" for a missing (None) cell.
+    """
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    if header is not None:
+        writer.writerow(header)
+    for record in records:
+        writer.writerow(["?" if cell is None else str(cell) for cell in record])
+    return buffer.getvalue().encode("utf-8")
+
+
+def periodic_labels(period: int, steps: int) -> list[str]:
+    """The periodic series' labels, one per step: step i holds `str(i % period)`."""
+    return [str(i % period) for i in range(steps)]
 
 
 # The three definitions read rules that share one decision time.

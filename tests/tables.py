@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-from timerules.dataset import EventSequence
+from hypothesis import strategies as st
+
+from timerules.dataset import AttributeSchema, EventSequence
+
+# names and symbols a CSV writer must quote or keep padded
+CSV_SYMBOLS = st.one_of(
+    st.sampled_from(("a,b", 'say "hi"', "two\nlines", " padded ", "?", "")),
+    st.text(alphabet='ab ,"\n\r', max_size=6),
+)
+CSV_NUMBERS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
 
 
 def from_rows(schema, rows) -> EventSequence:
@@ -10,3 +19,26 @@ def from_rows(schema, rows) -> EventSequence:
     schema, rows = tuple(schema), tuple(rows)
     columns = tuple(zip(*rows, strict=True)) if rows else ((),) * len(schema)
     return EventSequence(schema=schema, columns=columns)
+
+
+@st.composite
+def csv_tables(draw, missing: bool = True, min_rows: int = 0):
+    """A schema of 1-4 attributes of either kind and up to 8 rows over it.
+
+    Names and symbols are drawn from `CSV_SYMBOLS`, numbers are ints and
+    finite floats, and with `missing` any cell may be None.
+    """
+    names = draw(st.lists(CSV_SYMBOLS, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(min_rows, 8))
+    schema, columns = [], []
+    for name in names:
+        numeric = draw(st.booleans())
+        cells = CSV_NUMBERS if numeric else CSV_SYMBOLS
+        column = draw(st.lists(cells | st.none() if missing else cells, min_size=n, max_size=n))
+        if numeric:
+            schema.append(AttributeSchema(name, "numeric"))
+        else:
+            domain = tuple(dict.fromkeys(v for v in column if v is not None)) or ("a",)
+            schema.append(AttributeSchema(name, "discrete", domain))
+        columns.append(column)
+    return schema, list(zip(*columns))

@@ -21,8 +21,8 @@ from timerules.dataset import (
     split_chronological,
 )
 
-from oracles import column_kind, first_bad_record
-from tables import from_rows
+from oracles import column_kind, csv_by_rows, first_bad_record
+from tables import csv_tables, from_rows
 
 FOUR_RECORDS = "1,2,4,true\n2,3,5,true\n6,7,8,false\n5,2,3,true\n"
 
@@ -355,6 +355,19 @@ class TestRoundTrip:
             first.to_csv(out, header=False)
             second = load_csv(out, header_mode="positional")
             assert second.records == first.records
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(table=csv_tables(), header=st.booleans())
+    def test_bytes_match_a_row_by_row_writer(self, tmp_path_factory, table, header):
+        schema, rows = table
+        data = from_rows(schema, rows)
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        data.to_csv(path, header=header)
+        assert "records" not in vars(data)
+        names = [attribute.name for attribute in schema] if header else None
+        assert path.read_bytes() == csv_by_rows(names, rows)
 
 
 class TestSplit:

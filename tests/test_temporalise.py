@@ -12,8 +12,8 @@ from timerules.temporalise import (
     temporalised_record_count,
 )
 
-from oracles import window_code_counts
-from tables import from_rows
+from oracles import csv_by_rows, window_code_counts
+from tables import csv_tables, from_rows
 
 TABLE_ROWS = "1,2,4,true\n2,3,5,true\n6,7,8,false\n5,2,3,true\n"
 
@@ -251,6 +251,20 @@ class TestDump:
             "a1@t2", "a2@t2", "a3@t2", "a4@t2",
             "a4@t3",
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=csv_tables(missing=False, min_rows=1), data=st.data())
+    def test_bytes_match_a_row_by_row_writer(self, tmp_path_factory, table, data):
+        schema, rows = table
+        w = data.draw(st.integers(1, len(rows)))
+        pos = data.draw(st.integers(1, w))
+        d = data.draw(st.sampled_from([attribute.name for attribute in schema]))
+        out = temporalise(TemporalisationSpec(w=w, pos=pos, d=d), from_rows(schema, rows))
+        path = tmp_path_factory.mktemp("dump") / "dump.csv"
+        out.to_csv(path)
+        assert "records" not in vars(out)
+        header = [f"{a}@t{t}" for a, t in (*out.condition_columns, out.decision_column)]
+        assert path.read_bytes() == csv_by_rows(header, out.records)
 
     def test_column_name(self):
         assert column_name("x", 2) == "x@t2"

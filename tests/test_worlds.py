@@ -9,7 +9,7 @@ from timerules.worlds import (
     generate_robot_walk,
 )
 
-from oracles import first_match
+from oracles import first_match, periodic_labels
 
 
 def transition(x, y, action, width, height):
@@ -81,6 +81,14 @@ class TestPeriodic:
     def test_two_full_cycles(self):
         series = generate_periodic(8, 16)
         assert [v for (v,) in series.records] == [str(i % 8) for i in range(16)]
+
+    @pytest.mark.parametrize(
+        ("period", "steps"), [(2, 2), (5, 5), (3, 10), (7, 100), (8, 40005)]
+    )
+    def test_labels_follow_the_per_step_formula(self, period, steps):
+        series = generate_periodic(period, steps)
+        assert series.columns == (tuple(periodic_labels(period, steps)),)
+        assert series.schema[0].domain == tuple(map(str, range(period)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
