@@ -72,7 +72,7 @@ def test_every_public_name_is_its_defining_submodules_object():
 
 def test_an_unknown_attribute_is_named_in_the_error():
     with pytest.raises(AttributeError, match="'no_such_name'"):
-        timerules.no_such_name  # noqa: B018
+        getattr(timerules, "no_such_name")
 
 
 def test_dir_covers_every_public_name_and_submodule():
