@@ -5,7 +5,7 @@ Exit codes: 0 when a run completes (any verdict, including no-verdict),
 command's own checks reject before any work starts; a ValueError raised
 later is a fault and propagates. The TIMERULES_MAX_WORKERS environment
 variable caps how many workers the sweep may fan out to; the sweep never
-uses more workers than it has jobs or the machine has CPUs.
+uses more workers than it has jobs or CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -64,6 +64,14 @@ def worker_count(raw: str | None, cpus: int | None) -> tuple[int, str | None]:
     if cap < 1:
         return 1, f"ignoring TIMERULES_MAX_WORKERS={raw!r}: expected an integer >= 1"
     return min(cap, cpus or 1), None
+
+
+def _usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a `taskset` or cpuset narrows it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def _add_analyze(subparsers) -> None:
@@ -244,7 +252,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     f"its report files {args.out}.<column>.txt/.json"
                 )
     workers, warning = worker_count(
-        os.environ.get("TIMERULES_MAX_WORKERS"), os.cpu_count()
+        os.environ.get("TIMERULES_MAX_WORKERS"), _usable_cpus()
     )
     if warning:
         print(f"timerules: warning: {warning}", file=sys.stderr)

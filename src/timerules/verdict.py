@@ -12,8 +12,10 @@ what the sweep computed and derives the rest.
 A job is just (d, w, pos). The sweep's train and test sequences reach
 each process-pool worker once, through the pool initializer, so the
 codes the learner caches on the training sequence serve all of that
-worker's jobs. A one-worker run imports no process-pool module: the pool
-is imported on a sweep's first use of it.
+worker's jobs. A pool is handed its jobs largest window first, so the
+costliest jobs do not run last while other workers sit idle; the
+outcomes keep sweep order. A one-worker run imports no process-pool
+module: the pool is imported on a sweep's first use of it.
 """
 
 from __future__ import annotations
@@ -391,7 +393,8 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
     the window range already holds (1, 1), which still runs only once.
     The sweep is deterministic regardless of worker count, and uses no
     more workers than it has jobs: a single job starts no process pool.
-    A one-worker sweep imports no process-pool module either.
+    A one-worker sweep imports no process-pool module either. A pool is
+    handed the jobs largest window first; the outcomes keep sweep order.
     """
     data = as_discrete(data, spec.d)
     # checked before the split, so a record is named by its place in `data`
@@ -414,7 +417,8 @@ def run_timers(spec: RunSpec, data: EventSequence, workers: int = 1) -> VerdictR
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(train, test)
         ) as executor:
-            outcomes = tuple(executor.map(_run_job, jobs))
+            # jobs ascend in w, whose size sets a job's cost; longest first
+            outcomes = tuple(executor.map(_run_job, jobs[::-1]))[::-1]
     else:
         outcomes = tuple(_run_single(train, test, *job) for job in jobs)
     return judge(spec, outcomes)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,7 @@ import timerules.verdict
 from timerules.cli import build_parser, main, worker_count
 from timerules.dataset import load_csv
 from timerules.verdict import RunSpec, run_timers
-from timerules.worlds import RobotWorldConfig
+from timerules.worlds import RobotWorldConfig, generate_robot_walk
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
@@ -36,13 +37,14 @@ def robot_csv(tmp_path, capsys):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The size of every process pool a sweep starts; jobs run in this process."""
-    sizes = []
+def pool_spy(monkeypatch):
+    """The size of every process pool a sweep starts and the job list its
+    `map` is handed, in order; jobs run in this process."""
+    spy = SimpleNamespace(sizes=[], submitted=[])
 
     class PoolSpy:
         def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
+            spy.sizes.append(max_workers)
             initializer(*initargs)
 
         def __enter__(self):
@@ -52,12 +54,27 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, jobs):
+            jobs = list(jobs)
+            spy.submitted.append(jobs)
             return map(fn, jobs)
 
     # run_timers imports the pool class from here when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolSpy)
     monkeypatch.setattr(timerules.verdict, "_worker_data", None)
-    return sizes
+    return spy
+
+
+def allow_cpus(monkeypatch, cpus, machine=None):
+    """Let this process run on `cpus` of the machine's `machine` CPUs; a
+    `cpus` of None stands for a platform without an affinity mask that
+    counts `machine` CPUs."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+    monkeypatch.setattr(os, "cpu_count", lambda: machine)
 
 
 def run_fresh(script, *argv):
@@ -103,6 +120,30 @@ class TestColdStart:
         assert after
         one_worker = run_timers(RunSpec(d="x", beta=3, test_count=150), load_csv(robot_csv))
         assert report == json.loads(json.dumps(one_worker.to_dict()))
+
+
+class TestPoolSubmission:
+    @pytest.mark.parametrize("alpha", [2, 1])  # alpha 1 holds (1, 1) once
+    def test_largest_windows_go_first_and_outcomes_keep_sweep_order(
+        self, alpha, pool_spy
+    ):
+        walk = generate_robot_walk(RobotWorldConfig(steps=200, seed=3))
+        spec = RunSpec(d="x", alpha=alpha, beta=5, test_count=40)
+        one_worker = run_timers(spec, walk)
+        pooled = run_timers(spec, walk, workers=2)
+        assert pool_spy.sizes == [2]
+        (submitted,) = pool_spy.submitted
+        sizes = [w for _, w, _ in submitted]
+        assert sizes == sorted(sizes, reverse=True)
+        sweep = list(
+            dict.fromkeys(
+                [(1, 1)]
+                + [(w, pos) for w in range(alpha, 6) for pos in range(1, w + 1)]
+            )
+        )
+        assert sorted(submitted) == sorted(("x", w, pos) for w, pos in sweep)
+        assert [(o.w, o.pos) for o in pooled.outcomes] == sweep
+        assert pooled == one_worker
 
 
 class TestGenerate:
@@ -336,18 +377,32 @@ class TestAnalyze:
         assert fallback == baseline
 
     def test_one_job_sweep_starts_no_pool(
-        self, robot_csv, capsys, monkeypatch, pool_sizes
+        self, robot_csv, capsys, monkeypatch, pool_spy
     ):
         # the window range 1..1 holds the single job (1, 1)
         monkeypatch.setenv("TIMERULES_MAX_WORKERS", "4")
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        allow_cpus(monkeypatch, 4, machine=4)
         code, stdout, _ = run(
             capsys, "analyze", "--data", str(robot_csv), "--decision", "x",
             "--min-window", "1", "--max-window", "1",
         )
         assert code == 0
-        assert pool_sizes == []
+        assert pool_spy.sizes == []
         assert sum(line[:1].isdigit() for line in stdout.splitlines()) == 1
+
+    def test_one_allowed_cpu_starts_no_pool(
+        self, robot_csv, capsys, monkeypatch, pool_spy
+    ):
+        # as under `taskset -c 0` on a 4-CPU machine
+        monkeypatch.setenv("TIMERULES_MAX_WORKERS", "4")
+        allow_cpus(monkeypatch, 1, machine=4)
+        code, stdout, _ = run(
+            capsys, "analyze", "--data", str(robot_csv), "--decision", "x",
+            "--max-window", "3", "--test-count", "150",
+        )
+        assert code == 0
+        assert pool_spy.sizes == []
+        assert "the relation is p-causal" in stdout
 
     def test_invalid_worker_cap_warns(self, robot_csv, capsys, monkeypatch):
         monkeypatch.setenv("TIMERULES_MAX_WORKERS", "0")
@@ -499,13 +554,16 @@ class TestWorkerCount:
         ],
     )
     def test_clamped_to_jobs_and_cpus(
-        self, raw, jobs, cpus, expected, tmp_path, capsys, monkeypatch, pool_sizes
+        self, raw, jobs, cpus, expected, tmp_path, capsys, monkeypatch, pool_spy
     ):
         data = tmp_path / "walk.csv"
         run(capsys, "generate", "robot", "--steps", "80", "--seed", "1",
             "--out", str(data))
         monkeypatch.setenv("TIMERULES_MAX_WORKERS", raw)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if cpus is None:  # no affinity mask, and the machine cannot count its CPUs
+            allow_cpus(monkeypatch, None)
+        else:  # the machine has more CPUs than this process may run on
+            allow_cpus(monkeypatch, cpus, machine=2 * cpus)
         alpha, beta = WINDOWS_FOR_JOBS[jobs]
         code, stdout, _ = run(
             capsys, "analyze", "--data", str(data), "--decision", "x",
@@ -513,7 +571,19 @@ class TestWorkerCount:
         )
         assert code == 0
         assert sum(line[:1].isdigit() for line in stdout.splitlines()) == jobs
-        assert pool_sizes == ([] if expected == 1 else [expected])
+        assert pool_spy.sizes == ([] if expected == 1 else [expected])
+
+    def test_without_an_affinity_mask_the_machine_count_clamps(
+        self, tmp_path, capsys, monkeypatch, pool_spy
+    ):
+        data = tmp_path / "walk.csv"
+        run(capsys, "generate", "robot", "--steps", "80", "--seed", "1",
+            "--out", str(data))
+        monkeypatch.setenv("TIMERULES_MAX_WORKERS", "64")
+        allow_cpus(monkeypatch, None, machine=3)
+        code, _, _ = run(capsys, "analyze", "--data", str(data), "--decision", "x")
+        assert code == 0
+        assert pool_spy.sizes == [3]
 
     @pytest.mark.parametrize("raw", ["0", "-3", "not-a-number", "", "2.5"])
     def test_invalid_values_warn_and_use_one_worker(self, raw):
