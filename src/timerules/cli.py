@@ -260,10 +260,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report = run_timers(spec, data, workers=workers)
         if i:
             print()
-        print(report.render_text())
+        text = report.render_text()
+        print(text)
         if args.out:
             base = args.out if len(specs) == 1 else f"{args.out}.{spec.d}"
-            Path(f"{base}.txt").write_text(report.render_text() + "\n", encoding="utf-8")
+            Path(f"{base}.txt").write_text(text + "\n", encoding="utf-8")
             with open(f"{base}.json", "w", encoding="utf-8") as handle:
                 json.dump(report.to_dict(), handle, indent=2)
                 handle.write("\n")

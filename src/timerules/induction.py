@@ -24,27 +24,30 @@ counts (as C4.5 knows a child's class distribution once the split is
 scored). A child whose counts hold one class becomes a leaf at once,
 with no row list. Every impure child inherits its counts, which are in
 its own first-appearance order, so no node counts class codes. A
-discrete split groups only its impure children's rows. The root, the
-only node holding every row, reads its window's counts, so a code list
-is fetched only when a node below the root first scans it, and a
-column's values only when a split on it sorts rows (numeric) or groups
-impure children's rows.
+discrete split with an impure child groups the node's rows by symbol in
+one pass. The root, the only node holding every row, reads its window's
+counts, so a code list is fetched only when a node below the root first
+scans it, and a column's values only when a split on it sorts rows
+(numeric) or groups them for impure children (discrete).
 
 A node scans only its live columns: those with at least two distinct
 values on its rows. A column that is constant on a node is constant on
 every descendant, and a discrete split column is constant on each
-child, so neither reaches the children. Small nodes, which dominate deep
-trees, gather each column's codes with one `itemgetter` call and group
-them in one pass; larger ones count them with `Counter` first. Both keep
-first-appearance order, so every entropy term is summed in the order a
-row-by-row scan gives. A one-class value's term, exactly 0.0, is skipped.
-A term over at most `_SMALL_NODE` rows is looked up in a table that holds
-the float its formula gives, so every score is the formula's float. A
-node of two rows below the root holds two classes and scores every live
-column exactly alike, so it splits on the first column in scan order
-whose two values differ, without counting. A tree holds one leaf object
-per class, and a node looks up its majority only when an empty branch or
-a leaf with no live column needs it.
+child, so neither reaches the children. A node gathers each column's
+codes with one `itemgetter` call. Small nodes, of at most `_SMALL_NODE`
+rows below the root, dominate deep trees: `_best_split` groups their
+codes by value itself in one pass, and scores a discrete column in one
+more pass over its groups, reading each entropy and split-info term from
+a table that holds the float its formula gives. Larger nodes count their
+codes with `Counter` first and sum through `_entropy`, which reads the
+same table for totals up to `_SMALL_NODE`. Both keep first-appearance
+order and subtract the same terms from 0.0 in it, so every score is the
+float a row-by-row scan gives. A one-class value's term, exactly 0.0, is
+skipped. A node of two rows below the root holds two classes and scores
+every live column exactly alike, so it splits on the first column in
+scan order whose two values differ, without counting. A tree holds one
+leaf object per class, and a node looks up its majority only when an
+empty branch or a leaf with no live column needs it.
 
 The sweep needs only a tree's leaf count, the columns it tests and its
 accuracy. The learner tallies them as it grows the tree: training rows
@@ -58,10 +61,11 @@ branches are all leaves from its column's pair counts. Any deeper tree
 routes every row down from the root, fetching only the columns the rows
 reach and the decision column.
 
-Growing a tree, routing rows down it and reading its rules each walk it
-from an explicit stack, never by recursion: gain ratio favours cuts that
-peel off one row, so a column of distinct numbers can grow a chain of
-splits deeper than Python's recursion limit.
+Growing a tree, routing rows down it, reading its rules and flattening
+it to the preorder that rule sets compare and pickle each walk it from
+an explicit stack, never by recursion: gain ratio favours cuts that peel
+off one row, so a column of distinct numbers can grow a chain of splits
+deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -162,6 +166,26 @@ class RuleSet:
 
     def render(self) -> str:
         return "\n".join(rule.render() for rule in self.rules)
+
+    # a tree is compared and pickled as its preorder, as a deep one would
+    # overflow the recursion of `_Split`'s generated `__eq__` and of pickle
+
+    @cached_property
+    def _preorder(self) -> tuple:
+        return _flatten(self.tree)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._preorder, self.default_class, self.size, self.tested, self.training_hits) == (
+            other._preorder, other.default_class, other.size, other.tested, other.training_hits
+        )
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "tree": self._preorder}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, tree=_unflatten(state["tree"]))
 
 
 # slotted to keep trees small: a robot walk's largest hold ~8,600 nodes;
@@ -279,8 +303,9 @@ class _TreeBuilder:
         splits, needs it. Any other child is pushed on `stack` as
         `(branches, outcome, rows, live columns, counts)` and holds None in
         the split's branches, which are filled in outcome order, until it
-        is grown. A discrete split groups only its impure children's rows.
-        A node of two rows below the root takes its split from
+        is grown. A discrete split builds its branches in domain order and
+        groups the node's rows by symbol, in one pass, only if a child is
+        impure. A node of two rows below the root takes its split from
         `_two_row_split`, which counts nothing.
 
         A numeric split's threshold is the midpoint of the values either
@@ -300,7 +325,7 @@ class _TreeBuilder:
 
         (key, domain), cut, children = best
         self.tested.add(key)
-        empty = None  # the leaf of a discrete branch no row takes
+        branches: dict = {}
         if domain is None:
             values = self.values[key]
             ordered = sorted(indices, key=values.__getitem__)
@@ -312,24 +337,31 @@ class _TreeBuilder:
                 threshold = below
             if not below <= threshold < above:
                 threshold = below
-            parts = zip((False, True), (low, high), children)
+            for outcome, rows, group in zip((False, True), (low, high), children):
+                leaf = branches[outcome] = self._pure_leaf(group)
+                if leaf is None:
+                    stack.append((branches, outcome, rows, live, group))
         else:
             # each child holds one value of the split column
             live = [column for column in live if column[0] != key]
-            threshold = None
-            if len(children) < len(domain):
-                empty = self.majority(counts)
-            impure = [domain[code] for code, group in children.items() if len(group) > 1]
-            by_symbol = _group(self.values[key], indices, impure)[0] if impure else {}
-            parts = (
-                (symbol, by_symbol.get(symbol), children.get(code))
-                for code, symbol in enumerate(domain)
-            )
-        branches = {}
-        for outcome, rows, group in parts:
-            leaf = branches[outcome] = empty if group is None else self._pure_leaf(group)
-            if leaf is None:
-                stack.append((branches, outcome, rows, live, group))
+            threshold = empty = by_symbol = None
+            for code, symbol in enumerate(domain):
+                group = children.get(code)
+                if group is None:  # no row takes this branch
+                    if empty is None:
+                        empty = self.majority(counts)
+                    branches[symbol] = empty
+                elif len(group) == 1:
+                    (klass,) = group
+                    branches[symbol] = self.leaf_of[klass]
+                else:
+                    if by_symbol is None:
+                        values = self.values[key]
+                        by_symbol = {s: [] for s in domain}
+                        for i in indices:
+                            by_symbol[values[i]].append(i)
+                    branches[symbol] = None
+                    stack.append((branches, symbol, by_symbol[symbol], live, group))
         self.leaves += len(branches) - 1
         return _Split(key, threshold, branches)
 
@@ -339,29 +371,20 @@ class _TreeBuilder:
             return self.leaf_of[next(iter(counts))]
         return None
 
-    def _by_value(self, key, gather, total: int) -> dict[int, dict[int, int]]:
+    def _by_value(self, key, gather) -> dict[int, dict[int, int]]:
         """Per value code of column `key`, its class counts on a node's rows.
 
-        Both in first-appearance order; a node of over `_SMALL_NODE` rows
-        counts its pair codes first. The root (`gather` None) reads its
-        window's counts, which hold every pair code below it, into `pairs`.
+        Both in first-appearance order: the node's pair codes are counted
+        first. The root (`gather` None) reads its window's counts, which
+        hold every pair code below it, into `pairs`.
         """
         pairs = self.pairs
-        by_value: dict = {}
-        if gather is not None and total <= _SMALL_NODE:
-            for pair in gather(self.codes[key]):
-                value, klass = pairs[pair]
-                group = by_value.get(value)
-                if group is None:
-                    by_value[value] = {klass: 1}
-                else:
-                    group[klass] = group.get(klass, 0) + 1
-            return by_value
         if gather is None:
             counts = self.train.counts(key)
             pairs.update({pair: divmod(pair, len(self.classes)) for pair in counts})
         else:
             counts = Counter(gather(self.codes[key]))
+        by_value: dict = {}
         for pair, c in counts.items():
             value, klass = pairs[pair]
             group = by_value.get(value)
@@ -404,9 +427,14 @@ class _TreeBuilder:
         order a row-by-row scan would produce: classes and discrete values
         in first-appearance order within the node, numeric cuts in
         ascending value order, the high side of a cut in the node's class
-        order. A discrete split's info is the `_entropy` of its value
-        sizes. A numeric split's info is computed inline, as its high
-        side's share `1.0 - p_low` is not `(total - cut) / total` in floats.
+        order. A discrete split's info is the entropy of its value sizes.
+        A small node (below the root, at most `_SMALL_NODE` rows) groups
+        each column's codes here in one pass and sums a discrete column's
+        children entropy and split info from `_TERMS` in one more, each sum
+        subtracting terms from 0.0 in group order as `_entropy` does; a
+        larger one groups through `_by_value` and sums through `_entropy`.
+        A numeric split's info is computed inline, as its high side's
+        share `1.0 - p_low` is not `(total - cut) / total` in floats.
         Of float-equal scores the first wins, but scores equal in real
         numbers may differ in floats (ROADMAP item 1).
 
@@ -423,22 +451,53 @@ class _TreeBuilder:
         # the winner's (positive-gain flag, gain ratio), compared lexicographically
         best_positive, best_ratio = -1, -math.inf
         live = []
+        small = gather is not None and total <= _SMALL_NODE
+        pairs, codes = self.pairs, self.codes
         for column in columns:
             key, domain = column
-            by_value = self._by_value(key, gather, total)
+            if small:
+                by_value = {}
+                for pair in gather(codes[key]):
+                    value, klass = pairs[pair]
+                    group = by_value.get(value)
+                    if group is None:
+                        by_value[value] = {klass: 1}
+                    else:
+                        group[klass] = group.get(klass, 0) + 1
+            else:
+                by_value = self._by_value(key, gather)
             if len(by_value) < 2:
                 continue
             live.append(column)
             if domain is not None:
-                children = 0.0
-                sizes = []
-                for group in by_value.values():
-                    size = sum(group.values())
-                    sizes.append(size)
-                    if len(group) > 1:  # a one-class group's term is exactly 0.0
-                        children += size / total * _entropy(group.values(), size)
+                if small:
+                    # `_entropy`'s sums, each term read from `_TERMS` in one pass
+                    children = split_info = 0.0
+                    terms = _TERMS[total]
+                    for group in by_value.values():
+                        if len(group) == 1:  # a one-class group's term is exactly 0.0
+                            (size,) = group.values()
+                            split_info -= terms[size]
+                            continue
+                        size = 0
+                        for c in group.values():
+                            size += c
+                        split_info -= terms[size]
+                        h = 0.0
+                        row = _TERMS[size]
+                        for c in group.values():
+                            h -= row[c]
+                        children += size / total * h
+                else:
+                    children = 0.0
+                    sizes = []
+                    for group in by_value.values():
+                        size = sum(group.values())
+                        sizes.append(size)
+                        if len(group) > 1:  # a one-class group's term is exactly 0.0
+                            children += size / total * _entropy(group.values(), size)
+                    split_info = _entropy(sizes, total)
                 gain = parent_entropy - children
-                split_info = _entropy(sizes, total)
                 positive, ratio = gain > _GAIN_EPS, gain / split_info
                 if positive > best_positive or positive == best_positive and ratio > best_ratio:
                     best_positive, best_ratio = positive, ratio
@@ -534,6 +593,39 @@ def _extract_rules(node):
                 op = ">" if outcome else "<="
                 condition = Condition(*node.key, op, node.threshold)
             stack.append((child, (*path, condition)))
+
+
+def _flatten(tree) -> tuple:
+    """`tree`'s nodes in preorder: a leaf as `(value,)`, a split as `(key, threshold, outcomes)`."""
+    nodes = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Leaf):
+            nodes.append((node.value,))
+        else:
+            nodes.append((node.key, node.threshold, tuple(node.branches)))
+            stack.extend(reversed(node.branches.values()))
+    return tuple(nodes)
+
+
+def _unflatten(nodes: Iterable[tuple]):
+    """The tree `_flatten` gave `nodes` for, with one leaf object per class."""
+    leaf_of: dict = {}
+    top: dict = {}
+    stack = [(top, None)]  # the branches each next node fills, in preorder
+    for node in nodes:
+        branches, outcome = stack.pop()
+        if len(node) == 1:
+            leaf = leaf_of.get(node)
+            if leaf is None:
+                leaf = leaf_of[node] = _Leaf(*node)
+            node = leaf
+        else:
+            node = _Split(node[0], node[1], dict.fromkeys(node[2]))
+            stack.extend((node.branches, o) for o in reversed(node.branches))
+        branches[outcome] = node
+    return top[None]
 
 
 def induce(train: TemporalisedDataset) -> RuleSet:

@@ -6,6 +6,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -327,6 +328,23 @@ class TestAnalyze:
             if line.startswith("for attribute") or line == "No verdict"
         ]
         assert len(verdicts) == 3
+
+    def test_each_report_is_rendered_once_for_stdout_and_its_file(
+        self, robot_csv, tmp_path, capsys
+    ):
+        base = tmp_path / "r"
+        render = timerules.verdict.VerdictReport.render_text
+        with mock.patch.object(
+            timerules.verdict.VerdictReport, "render_text", autospec=True, side_effect=render
+        ) as spy:
+            code, stdout, _ = run(
+                capsys, "analyze", "--data", str(robot_csv), "--all-attributes",
+                "--max-window", "2", "--test-count", "150", "--out", str(base),
+            )
+        assert code == 0
+        assert spy.call_count == 3
+        texts = [(tmp_path / f"r.{d}.txt").read_text(encoding="utf-8") for d in "xya"]
+        assert stdout == "\n".join(texts)
 
     def test_column_name_with_a_path_separator_is_rejected_before_any_sweep(
         self, tmp_path, capsys

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import re
 import sys
@@ -224,10 +225,11 @@ def short_sequences(draw):
 
 class TestCounting:
     def test_counts_in_first_appearance_order_on_both_sides_of_the_cutoff(self):
-        # every entropy sum follows the groups' key order, so a node's
-        # value groups, and the class counts in each, must keep first
-        # appearance, both when it groups its rows in one pass and when it
-        # counts them first; no node counts the class codes alone
+        # every entropy sum follows the groups' key order, so the children
+        # a node's split hands down, one per value with its class counts,
+        # must keep first appearance, both when `_best_split` groups the
+        # rows itself (at most `_SMALL_NODE`) and when it counts them
+        # first; no node counts the class codes alone
         rng = random.Random(11)
         domain = tuple("pqrstu")
         schema = (
@@ -237,7 +239,8 @@ class TestCounting:
         rows = [(rng.choice(domain), rng.choice(CLASS_POOL)) for _ in range(500)]
         train = temporalise(TemporalisationSpec(w=1, pos=1, d="k"), from_rows(schema, rows))
         builder = _TreeBuilder(train)
-        builder._by_value(("u", 1), None, train.n)  # the root, which reads every pair code
+        # the root, which reads every pair code
+        builder._best_split(None, train.n, train.counts(train.decision_column), builder.columns)
         for size in (2, _SMALL_NODE - 1, _SMALL_NODE, _SMALL_NODE + 1, 400):
             for _ in range(20):
                 indices = rng.sample(range(len(rows)), size)
@@ -246,9 +249,16 @@ class TestCounting:
                     value, klass = domain.index(rows[i][0]), CLASS_POOL.index(rows[i][1])
                     group = expected.setdefault(value, {})
                     group[klass] = group.get(klass, 0) + 1
-                gather = itemgetter(*indices)
-                got = builder._by_value(("u", 1), gather, size)
-                assert [(v, list(g.items())) for v, g in got.items()] == [
+                counts = Counter(CLASS_POOL.index(rows[i][1]) for i in indices)
+                best, live = builder._best_split(
+                    itemgetter(*indices), size, counts, builder.columns
+                )
+                if len(expected) < 2:  # u is constant on these rows
+                    assert (best, live) == (None, [])
+                    continue
+                column, cut, children = best
+                assert live == [column] == builder.columns and cut is None
+                assert [(v, list(g.items())) for v, g in children.items()] == [
                     (v, list(g.items())) for v, g in expected.items()
                 ]
 
@@ -593,17 +603,23 @@ def frames_below():
     return depth
 
 
+def ascending_chain(n):
+    """A w=1 table of an ascending column t over `n` rows of random classes, and its spec.
+
+    Gain ratio favours cuts that peel off one row, so its tree is a chain
+    of about n / 2 splits.
+    """
+    rng = random.Random(0)
+    rows = [(t, rng.choice("ab")) for t in range(n)]
+    schema = (AttributeSchema("t", "numeric"), AttributeSchema("c", "discrete", ("a", "b")))
+    return from_rows(schema, rows), TemporalisationSpec(w=1, pos=1, d="c")
+
+
 class TestDeepTrees:
     def test_a_chain_deeper_than_the_recursion_limit_grows_routes_and_reads(self):
-        # gain ratio favours cuts that peel off one row, so an ascending
-        # column of random classes grows a chain of about n / 2 splits;
         # with the recursion limit 100 frames above this one, growing the
         # tree, routing rows down it and reading its rules must not recurse
-        rng = random.Random(0)
-        rows = [(t, rng.choice("ab")) for t in range(600)]
-        schema = (AttributeSchema("t", "numeric"), AttributeSchema("c", "discrete", ("a", "b")))
-        spec = TemporalisationSpec(w=1, pos=1, d="c")
-        data = from_rows(schema, rows)
+        data, spec = ascending_chain(600)
         train = temporalise(spec, data)
         expected = ReferenceTree(train).rule_lines()
         limit = sys.getrecursionlimit()
@@ -619,6 +635,36 @@ class TestDeepTrees:
         assert rule_set.size == len(expected)
         assert lines == expected
         assert accuracy == evaluate(rule_set, train) == 1.0
+
+    def test_a_chain_deeper_than_the_recursion_limit_compares_and_pickles(self):
+        # rule sets compare and pickle their trees as a flat preorder, so
+        # neither recurses down the chain; a pickled tree comes back with
+        # its rules and one leaf object per class
+        data, spec = ascending_chain(600)
+        train = temporalise(spec, data)
+        first, second = induce(train), induce(train)
+        other = induce(temporalise(spec, ascending_chain(599)[0]))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames_below() + 100)
+        try:
+            assert first == second
+            assert first != replace(first, tree=other.tree)
+            copy = pickle.loads(pickle.dumps(first))
+            assert copy == first
+            lines = copy.render().splitlines()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert max(len(rule.conditions) for rule in first.rules) > 250
+        assert lines == first.render().splitlines()
+        assert evaluate(copy, temporalise(spec, data)) == 1.0
+        leaves, stack = set(), [copy.tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Leaf):
+                leaves.add(id(node))
+            else:
+                stack.extend(node.branches.values())
+        assert len(leaves) == 2
 
 
 class TestInduce:
