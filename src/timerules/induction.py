@@ -36,14 +36,13 @@ every descendant, and a discrete split column is constant on each
 child, so neither reaches the children. A node gathers each column's
 codes with one `itemgetter` call. Small nodes, of at most `_SMALL_NODE`
 rows below the root, dominate deep trees: `_best_split` groups their
-codes by value itself in one pass, and scores a discrete column in one
-more pass over its groups, reading each entropy and split-info term from
-a table that holds the float its formula gives. Larger nodes count their
-codes with `Counter` first and sum through `_entropy`, which reads the
-same table for totals up to `_SMALL_NODE`. Both keep first-appearance
+codes by value itself in one pass. Larger nodes count their codes with
+`Counter` first. Every split's score sums its entropy and split-info
+terms inline, reading a term of a total up to `_SMALL_NODE` from a
+table that holds the float its formula gives. All keep first-appearance
 order and subtract the same terms from 0.0 in it, so every score is the
-float a row-by-row scan gives. A one-class value's term, exactly 0.0, is
-skipped. A node of two rows below the root holds two classes and scores
+float a row-by-row scan gives. A one-class value's term, exactly 0.0,
+is skipped. A node of two rows below the root holds two classes and scores
 every live column exactly alike, so it splits on the first column in
 scan order whose two values differ, without counting. A tree holds one
 leaf object per class, and a node looks up its majority only when an
@@ -167,19 +166,24 @@ class RuleSet:
     def render(self) -> str:
         return "\n".join(rule.render() for rule in self.rules)
 
-    # a tree is compared and pickled as its preorder, as a deep one would
-    # overflow the recursion of `_Split`'s generated `__eq__` and of pickle
+    # a tree is compared, hashed and pickled as its preorder, as a deep one
+    # would overflow the recursion of `_Split`'s generated `__eq__` and of
+    # pickle, and a `_Split` is unhashable
 
     @cached_property
     def _preorder(self) -> tuple:
         return _flatten(self.tree)
 
+    def _identity(self) -> tuple:
+        return (self._preorder, self.default_class, self.size, self.tested, self.training_hits)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._preorder, self.default_class, self.size, self.tested, self.training_hits) == (
-            other._preorder, other.default_class, other.size, other.tested, other.training_hits
-        )
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "tree": self._preorder}
@@ -216,7 +220,8 @@ def _entropy(counts: Iterable[int], total: int) -> float:
     """The entropy of class `counts` summing to `total`, terms summed in order.
 
     Up to `_SMALL_NODE` each term is read from `_TERMS`, which holds the
-    float the loop computes, so both give the same sum.
+    float the loop computes, so both give the same sum. It scores a
+    node's own classes; `_best_split` sums its splits' terms inline.
     """
     h = 0.0
     if total <= _SMALL_NODE:
@@ -429,12 +434,13 @@ class _TreeBuilder:
         ascending value order, the high side of a cut in the node's class
         order. A discrete split's info is the entropy of its value sizes.
         A small node (below the root, at most `_SMALL_NODE` rows) groups
-        each column's codes here in one pass and sums a discrete column's
-        children entropy and split info from `_TERMS` in one more, each sum
-        subtracting terms from 0.0 in group order as `_entropy` does; a
-        larger one groups through `_by_value` and sums through `_entropy`.
-        A numeric split's info is computed inline, as its high side's
-        share `1.0 - p_low` is not `(total - cut) / total` in floats.
+        each column's codes here in one pass, a larger one through
+        `_by_value`. Each split's sums are inline, each subtracting terms
+        from 0.0 in order as `_entropy` does and reading those of a total
+        up to `_SMALL_NODE` from `_TERMS`; a numeric cut's high side counts
+        down from the node's counts. A numeric split's info is its two
+        sides' terms, as its high side's share `1.0 - p_low` is not
+        `(total - cut) / total` in floats.
         Of float-equal scores the first wins, but scores equal in real
         numbers may differ in floats (ROADMAP item 1).
 
@@ -447,6 +453,7 @@ class _TreeBuilder:
         numeric split and None for a discrete one.
         """
         parent_entropy = _entropy(counts.values(), total)
+        log2 = math.log2
         best = None
         # the winner's (positive-gain flag, gain ratio), compared lexicographically
         best_positive, best_ratio = -1, -math.inf
@@ -489,62 +496,77 @@ class _TreeBuilder:
                             h -= row[c]
                         children += size / total * h
                 else:
-                    children = 0.0
-                    sizes = []
+                    # `_entropy`'s sums inline, with the terms it reads or computes
+                    children = split_info = 0.0
                     for group in by_value.values():
                         size = sum(group.values())
-                        sizes.append(size)
+                        q = size / total
+                        split_info -= q * log2(q)
                         if len(group) > 1:  # a one-class group's term is exactly 0.0
-                            children += size / total * _entropy(group.values(), size)
-                    split_info = _entropy(sizes, total)
+                            h = 0.0
+                            if size <= _SMALL_NODE:
+                                row = _TERMS[size]
+                                for c in group.values():
+                                    h -= row[c]
+                            else:
+                                for c in group.values():
+                                    q = c / size
+                                    h -= q * log2(q)
+                            children += size / total * h
                 gain = parent_entropy - children
                 positive, ratio = gain > _GAIN_EPS, gain / split_info
                 if positive > best_positive or positive == best_positive and ratio > best_ratio:
                     best_positive, best_ratio = positive, ratio
                     best = (column, None, by_value)
                 continue
+            # each side's class counts, the high side's in the node's class order
             low: dict = {}
+            high = dict(counts)
             cut = 0
             values = sorted(by_value)
             for above, value in enumerate(values[:-1], 1):
                 for klass, c in by_value[value].items():
                     low[klass] = low.get(klass, 0) + c
+                    high[klass] -= c
                     cut += c
-                high = [c - low.get(k, 0) for k, c in counts.items()]
+                rest = total - cut
+                h_low = h_high = 0.0
+                if cut <= _SMALL_NODE:
+                    row = _TERMS[cut]
+                    for c in low.values():
+                        h_low -= row[c]
+                else:
+                    for c in low.values():
+                        q = c / cut
+                        h_low -= q * log2(q)
+                if rest <= _SMALL_NODE:
+                    row = _TERMS[rest]
+                    for c in high.values():
+                        h_high -= row[c]  # an emptied class's row[0] is 0.0
+                else:
+                    for c in high.values():
+                        if c:
+                            q = c / rest
+                            h_high -= q * log2(q)
                 p_low = cut / total
                 p_high = 1.0 - p_low
-                children = p_low * _entropy(low.values(), cut) + p_high * _entropy(
-                    [c for c in high if c > 0], total - cut
-                )
+                children = p_low * h_low + p_high * h_high
                 gain = parent_entropy - children
-                split_info = -(p_low * math.log2(p_low) + p_high * math.log2(p_high))
+                split_info = -(p_low * log2(p_low) + p_high * log2(p_high))
                 positive, ratio = gain > _GAIN_EPS, gain / split_info
                 if positive > best_positive or positive == best_positive and ratio > best_ratio:
                     best_positive, best_ratio = positive, ratio
-                    high_counts = {
-                        k: counts[k] - low.get(k, 0) for v in values[above:] for k in by_value[v]
-                    }
+                    high_counts = {k: high[k] for v in values[above:] for k in by_value[v]}
                     best = (column, cut, (dict(low), high_counts))
         return best, live
-
-
-def _group(values: Sequence, indices: Iterable[int], symbols: Iterable) -> tuple[dict, list]:
-    """The rows of `indices` whose value is each of `symbols`, by symbol, and the rest.
-
-    Both keep the order of `indices`, and the groups that of `symbols`.
-    """
-    rows: dict = {symbol: [] for symbol in symbols}
-    rest: list[int] = []
-    for i in indices:
-        rows.get(values[i], rest).append(i)
-    return rows, rest
 
 
 def _leaves(node, columns: Mapping, indices: list[int]):
     """Yield (leaf value, rows reaching that leaf) for the rows `indices`.
 
     `columns` maps a column's key to its values. Rows whose symbol has no
-    branch leave the tree, with value None.
+    branch leave the tree, with value None. Every part keeps the order of
+    `indices`, and a discrete split's parts that of its branches.
     """
     if isinstance(node, _Leaf):
         yield node.value, indices
@@ -555,7 +577,10 @@ def _leaves(node, columns: Mapping, indices: list[int]):
         column = columns[node.key]
         threshold = node.threshold
         if threshold is None:
-            groups, stray = _group(column, indices, node.branches)
+            groups: dict = {symbol: [] for symbol in node.branches}
+            stray: list[int] = []
+            for i in indices:
+                groups.get(column[i], stray).append(i)
             if stray:
                 yield None, stray
             parts = groups.values()

@@ -164,12 +164,13 @@ def node_bound_tables(draw):
     """A window of `_SMALL_NODE` - 1 to 4 * `_SMALL_NODE` rows.
 
     Two discrete columns of 2-3 symbols and one numeric column of small
-    ints decide among 2-3 classes, so the tree's nodes fall on both sides
-    of the small-node bound and hold both one-class and mixed value groups.
+    ints decide among 2-4 classes, so the tree's nodes fall on both sides
+    of the small-node bound and hold both one-class and mixed value groups,
+    and a numeric cut's sides each fall on both sides of it.
     """
     w = draw(st.integers(1, 2))
     n = draw(st.integers(_SMALL_NODE + w - 2, 4 * _SMALL_NODE + w - 1))
-    classes = tuple("ABC"[: draw(st.integers(2, 3))])
+    classes = tuple("ABCD"[: draw(st.integers(2, 4))])
     domains = [tuple("pqr"[: draw(st.integers(2, 3))]) for _ in range(2)]
     schema = (
         AttributeSchema("u", "discrete", domains[0]),
@@ -198,6 +199,39 @@ def seeded_bound_window(seed):
         for _ in range(64)
     ]
     return temporalise(TemporalisationSpec(w=1, pos=1, d="k"), from_rows(schema, rows))
+
+
+def split_info_tie_window():
+    """u and v split the root into one-class groups of 2, 37 and 39 rows.
+
+    u meets them in that order, v as 39, 2, 37: their gain ratios are equal
+    in real numbers, but v's split info, summed in its own order, is one
+    ulp smaller in floats, so the reference splits on v (ROADMAP item 1).
+    """
+    rows = [("p", "p", "A")] * 2 + [("q", "p", "A")] * 37
+    rows += [("r", "q", "B")] * 2 + [("r", "r", "B")] * 37
+    return flat_table(rows, names=["u", "v", "k"])
+
+
+def group_order_tie_window(seed):
+    """40 rows where v is u with its symbols shuffled among each class's rows.
+
+    Both split the root into groups of equal class counts, met in other
+    orders: their children entropy is equal in real numbers but summed in
+    each column's own orders. At seed 0 v's is one ulp smaller in floats,
+    so the reference splits on v (ROADMAP item 1).
+    """
+    rng = random.Random(seed)
+    classes = [rng.choice("ABC") for _ in range(40)]
+    u = [rng.choice("pq") for _ in range(40)]
+    v = list(u)
+    for klass in "ABC":
+        rows = [i for i, k in enumerate(classes) if k == klass]
+        symbols = [u[i] for i in rows]
+        rng.shuffle(symbols)
+        for i, symbol in zip(rows, symbols):
+            v[i] = symbol
+    return flat_table(list(zip(u, v, classes)), names=["u", "v", "k"])
 
 
 @st.composite
@@ -637,9 +671,9 @@ class TestDeepTrees:
         assert accuracy == evaluate(rule_set, train) == 1.0
 
     def test_a_chain_deeper_than_the_recursion_limit_compares_and_pickles(self):
-        # rule sets compare and pickle their trees as a flat preorder, so
-        # neither recurses down the chain; a pickled tree comes back with
-        # its rules and one leaf object per class
+        # rule sets compare, hash and pickle their trees as a flat preorder,
+        # so none of these recurses down the chain; a pickled tree comes
+        # back with its rules and one leaf object per class
         data, spec = ascending_chain(600)
         train = temporalise(spec, data)
         first, second = induce(train), induce(train)
@@ -651,6 +685,7 @@ class TestDeepTrees:
             assert first != replace(first, tree=other.tree)
             copy = pickle.loads(pickle.dumps(first))
             assert copy == first
+            assert hash(copy) == hash(first) == hash(second)
             lines = copy.render().splitlines()
         finally:
             sys.setrecursionlimit(limit)
@@ -1128,6 +1163,15 @@ class TestRuleSetInvariants:
             _, t0 = train.decision_column
             assert classify_times(times, t0) == classify_rule_set(rules)
 
+    def test_equal_rule_sets_hash_equal(self):
+        # a split node is unhashable, so a rule set hashes what it compares
+        train = flat_table([("p", "A"), ("q", "B"), ("p", "A")])
+        first, second = induce(train), induce(train)
+        other = induce(flat_table([("p", "B"), ("q", "A"), ("p", "B")]))
+        assert first.size == 2 and first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second, other}) == 2
+
     def test_shared_decision_enforced(self):
         rule_set = induce(
             flat_table([("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0")])
@@ -1165,6 +1209,10 @@ class TestReferenceAgreement:
     # a small node of this table sums a three-class group's terms in
     # another float than it would in class-code order
     @example(train=seeded_bound_window(16))
+    # a large node of these tables sums its split info, or a group's
+    # terms, in another float than it would in sorted or class-code order
+    @example(train=split_info_tie_window())
+    @example(train=group_order_tie_window(0))
     def test_matches_reference_either_side_of_the_small_node_bound(self, train):
         # a node of at most `_SMALL_NODE` rows groups its rows by value in
         # one pass, a larger one counts pair codes first; both must sum
