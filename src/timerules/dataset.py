@@ -131,7 +131,11 @@ class EventSequence:
 
     @cached_property
     def records(self) -> tuple[tuple[object, ...], ...]:
-        """Row view: `records[i]` holds record i's values in schema order."""
+        """Row view: `records[i]` holds record i's values in schema order.
+
+        The library reads columns only; the one reader left is the
+        benchmark's `benchmarks/workloads.py::_periodic_csv`.
+        """
         return tuple(zip(*self.columns))
 
     def codes(self, key: CodeKey) -> array:
@@ -237,9 +241,9 @@ class EventSequence:
                 return i
         raise DataError(f"unknown attribute {name!r}")
 
-    def to_csv(self, path: str | Path, header: bool = True) -> None:
-        """Write the table back out; missing values become the "?" token."""
-        write_csv(path, self.attribute_names if header else None, self.columns)
+    def to_csv(self, path: str | Path) -> None:
+        """Write the table back out under its header; missing values become the "?" token."""
+        write_csv(path, self.attribute_names, self.columns)
 
 
 def _count_codes(codes: array) -> dict[int, int]:
@@ -289,12 +293,11 @@ def format_cell(value: object) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, header: Sequence[str] | None, columns: Iterable[Iterable]) -> None:
-    """Write `header` (when given), then the rows of `columns`; missing values become "?"."""
+def write_csv(path: str | Path, header: Sequence[str], columns: Iterable[Iterable]) -> None:
+    """Write `header`, then the rows of `columns`; missing values become "?"."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        if header is not None:
-            writer.writerow(header)
+        writer.writerow(header)
         writer.writerows(zip(*[map(format_cell, column) for column in columns]))
 
 

@@ -37,9 +37,11 @@ child, so neither reaches the children. A node gathers each column's
 codes with one `itemgetter` call. Small nodes, of at most `_SMALL_NODE`
 rows below the root, dominate deep trees: `_best_split` groups their
 codes by value itself in one pass. Larger nodes count their codes with
-`Counter` first. Every split's score sums its entropy and split-info
-terms inline, reading a term of a total up to `_SMALL_NODE` from a
-table that holds the float its formula gives. All keep first-appearance
+`Counter` first. That is all the node size chooses: one loop scores a
+discrete column and one a numeric column's cuts at every node. Every
+split's score sums its entropy and split-info terms inline, reading a
+term of a total up to `_SMALL_NODE` from a table that holds the float
+its formula gives. All keep first-appearance
 order and subtract the same terms from 0.0 in it, so every score is the
 float a row-by-row scan gives. A one-class value's term, exactly 0.0,
 is skipped. A node of two rows below the root holds two classes and scores
@@ -435,7 +437,8 @@ class _TreeBuilder:
         order. A discrete split's info is the entropy of its value sizes.
         A small node (below the root, at most `_SMALL_NODE` rows) groups
         each column's codes here in one pass, a larger one through
-        `_by_value`. Each split's sums are inline, each subtracting terms
+        `_by_value`; the grouped counts are then scored alike at any node
+        size. Each split's sums are inline, each subtracting terms
         from 0.0 in order as `_entropy` does and reading those of a total
         up to `_SMALL_NODE` from `_TERMS`; a numeric cut's high side counts
         down from the node's counts. A numeric split's info is its two
@@ -477,42 +480,30 @@ class _TreeBuilder:
                 continue
             live.append(column)
             if domain is not None:
-                if small:
-                    # `_entropy`'s sums, each term read from `_TERMS` in one pass
-                    children = split_info = 0.0
-                    terms = _TERMS[total]
-                    for group in by_value.values():
-                        if len(group) == 1:  # a one-class group's term is exactly 0.0
-                            (size,) = group.values()
-                            split_info -= terms[size]
-                            continue
-                        size = 0
-                        for c in group.values():
-                            size += c
-                        split_info -= terms[size]
-                        h = 0.0
-                        row = _TERMS[size]
-                        for c in group.values():
-                            h -= row[c]
-                        children += size / total * h
-                else:
-                    # `_entropy`'s sums inline, with the terms it reads or computes
-                    children = split_info = 0.0
-                    for group in by_value.values():
+                # `_entropy`'s sums inline, with the terms it reads or computes;
+                # a one-class group's entropy term is exactly 0.0
+                children = split_info = 0.0
+                terms = _TERMS[total] if total <= _SMALL_NODE else None
+                for group in by_value.values():
+                    if len(group) == 1:
+                        (size,) = group.values()
+                    else:
                         size = sum(group.values())
+                        h = 0.0
+                        if size <= _SMALL_NODE:
+                            row = _TERMS[size]
+                            for c in group.values():
+                                h -= row[c]
+                        else:
+                            for c in group.values():
+                                q = c / size
+                                h -= q * log2(q)
+                        children += size / total * h
+                    if terms is None:
                         q = size / total
                         split_info -= q * log2(q)
-                        if len(group) > 1:  # a one-class group's term is exactly 0.0
-                            h = 0.0
-                            if size <= _SMALL_NODE:
-                                row = _TERMS[size]
-                                for c in group.values():
-                                    h -= row[c]
-                            else:
-                                for c in group.values():
-                                    q = c / size
-                                    h -= q * log2(q)
-                            children += size / total * h
+                    else:
+                        split_info -= terms[size]
                 gain = parent_entropy - children
                 positive, ratio = gain > _GAIN_EPS, gain / split_info
                 if positive > best_positive or positive == best_positive and ratio > best_ratio:

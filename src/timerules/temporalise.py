@@ -19,7 +19,8 @@ decision column's class codes or a condition column's pair codes, a
 slice of the codes the source caches, and `counts` their counts, the
 source's counts of the whole code array less the few rows the window
 leaves out. Every (w, pos) of a sweep therefore slices the same source
-columns and codes, and no flat record is built row by row.
+columns and codes, and no flat record is ever built: not for the
+learner, nor for the `to_csv` dump, which writes the columns.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class TemporalisedDataset:
     no `?` cell. A column is keyed (attribute, t): `decision_column` or
     one of `condition_columns`. `column(key)`, `codes(key)` and
     `counts(key)` read one column of length `n`, whose row i is source
-    row i+t-1, and `records` joins every column row-wise, decision value
-    last. `source` resolves a column's kind and domain.
+    row i+t-1; no view joins them row-wise. `source` resolves a column's
+    kind and domain.
     """
 
     provenance: TemporalisationSpec
@@ -102,12 +103,6 @@ class TemporalisedDataset:
         attribute, time = column
         values = self.source.columns[self.source.column_index(attribute)]
         return values[time - 1 : time - 1 + self.n]
-
-    @cached_property
-    def records(self) -> tuple[tuple[object, ...], ...]:
-        """Row-wise view: the condition values of each row, then its decision."""
-        keys = (*self.condition_columns, self.decision_column)
-        return tuple(zip(*map(self.column, keys)))
 
     def codes(self, column: tuple[str, int]) -> list[int]:
         """Each row's class code in the decision column, else its pair code.

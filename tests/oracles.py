@@ -175,59 +175,97 @@ def first_match(rules, default, record) -> object:
     no tree. `record` maps column names such as "x@t1" to values.
     """
     for rule in rules:
-        if all(condition_holds(c, record[c.column]) for c in rule.conditions):
+        if all(
+            condition_holds(c, record[f"{c.attribute}@t{c.time}"]) for c in rule.conditions
+        ):
             return rule.decision_value
     return default
 
 
+def reference_window(source, spec) -> tuple[list, list]:
+    """The paper's flat records of window (w, pos, d) over `source`, built row by row.
+
+    Window i holds source records i..i+w-1, each read cell by cell from
+    `source.columns`, at window times 1..w. Its flat record holds every
+    attribute of each record at a time other than pos, in time order
+    (the preceding records, then the following ones) and schema order
+    within a record, then d at pos. At w = 1 the conditions are every
+    other attribute at t1. Returns the condition keys (attribute, t) in
+    field order, and the rows: each row's condition values, then its
+    decision.
+    """
+    w, pos, d = spec.w, spec.pos, spec.d
+    names = [attribute.name for attribute in source.schema]
+    j = names.index(d)
+    n = len(source.columns[j])
+    records = [tuple(column[i] for column in source.columns) for i in range(n)]
+    rows = []
+    for i in range(n - w + 1):
+        window = records[i : i + w]
+        if w == 1:
+            conditions = tuple(value for k, value in enumerate(window[0]) if k != j)
+        else:
+            conditions = tuple(
+                value for t, record in enumerate(window, 1) if t != pos for value in record
+            )
+        rows.append(conditions + (window[pos - 1][j],))
+    if w == 1:
+        keys = [(name, 1) for name in names if name != d]
+    else:
+        keys = [(name, t) for t in range(1, w + 1) if t != pos for name in names]
+    return keys, rows
+
+
 def lookup_table_accuracy(window) -> float:
-    """The share of `window.records` a lookup table on their conditions gets right.
+    """The share of `window`'s rows a lookup table on their conditions gets right.
 
     The table maps each distinct condition tuple to the decision it
     occurs with most often, so it scores the largest class count of
     every tuple. A tree grown until each node is pure or holds no live
     column groups its training rows by their whole condition tuple,
-    whatever order it splits them in, so it scores the same.
+    whatever order it splits them in, so it scores the same. The rows
+    come from `reference_window`.
     """
-    counts = Counter((record[:-1], record[-1]) for record in window.records)
+    _, rows = reference_window(window.source, window.provenance)
+    counts = Counter((row[:-1], row[-1]) for row in rows)
     best: dict = {}
     for (conditions, _), count in counts.items():
         best[conditions] = max(best.get(conditions, 0), count)
-    return sum(best.values()) / len(window.records)
+    return sum(best.values()) / len(rows)
 
 
-def window_code_counts(window) -> tuple[list, dict]:
-    """The (code, count) pairs of a window's class codes and of each column's pair codes.
+def window_codes(window) -> dict:
+    """The class codes of a window's decision column and the pair codes of each other column.
 
-    Codes are worked out afresh from `window.records`: a class is coded
-    by its index in the decision domain, a discrete value by its index
-    in its domain, a numeric value by its rank among the source
-    sequence's sorted distinct values, and a pair as `value * C + class`
-    for C classes. Each list is counted with `Counter`, so pairs come in
-    first-appearance order within the window. Returns the class counts
-    and a dict from (attribute, time) to that column's pair counts.
+    Codes are worked out afresh from `reference_window`'s rows: a class
+    is coded by its index in the decision domain, a discrete value by
+    its index in its domain, a numeric value by its rank among the
+    source sequence's sorted distinct values, and a pair as
+    `value * C + class` for C classes. Returns a dict from each column's
+    (attribute, time), the decision's (d, pos) first, to its codes in
+    row order.
     """
-    source = window.source
-    classes = source.attribute(window.decision_column[0]).domain
-    class_codes = [classes.index(record[-1]) for record in window.records]
-    pairs = {}
-    for k, (attribute, time) in enumerate(window.condition_columns):
+    source, spec = window.source, window.provenance
+    keys, rows = reference_window(source, spec)
+    classes = source.attribute(spec.d).domain
+    class_codes = [classes.index(row[-1]) for row in rows]
+    codes = {(spec.d, spec.pos): class_codes}
+    for k, (attribute, time) in enumerate(keys):
         symbols = source.attribute(attribute).domain
         if symbols is None:
-            symbols = sorted(set(source.columns[source.column_index(attribute)]))
-        codes = [
-            symbols.index(record[k]) * len(classes) + c
-            for record, c in zip(window.records, class_codes)
+            j = [a.name for a in source.schema].index(attribute)
+            symbols = sorted(set(source.columns[j]))
+        codes[attribute, time] = [
+            symbols.index(row[k]) * len(classes) + c for row, c in zip(rows, class_codes)
         ]
-        pairs[attribute, time] = list(Counter(codes).items())
-    return list(Counter(class_codes).items()), pairs
+    return codes
 
 
 # --- reference tree learner -------------------------------------------------
 #
 # A frozen, loop-based copy of the gain-ratio learner as it stood before
-# the library moved to integer-coded columns. It reads the row-wise
-# `records` view, regroups and re-sorts every column at every node and
+# the library moved to integer-coded columns. It reads the rows of
+# `reference_window`, regroups and re-sorts every column at every node and
 # counts classes with `Counter`s, so it shares no code path with the
 # library. The library must reproduce its trees bit for bit: the same
 # rules, the same thresholds and the same default class.
@@ -256,20 +294,20 @@ class ReferenceTree:
     {symbol: node}) and ("numeric", attr, time, threshold, low, high)."""
 
     def __init__(self, train):
-        self.records = train.records
-        self.classes = [record[-1] for record in self.records]
+        keys, self.rows = reference_window(train.source, train.provenance)
+        self.classes = [row[-1] for row in self.rows]
         self.class_rank = {
             symbol: i
-            for i, symbol in enumerate(train.source.attribute(train.decision_column[0]).domain)
+            for i, symbol in enumerate(train.source.attribute(train.provenance.d).domain)
         }
         cols = []
-        for k, (attr, time) in enumerate(train.condition_columns):
+        for k, (attr, time) in enumerate(keys):
             schema = train.source.attribute(attr)
             cols.append((attr, time, k, schema.kind, schema.domain))
         cols.sort(key=lambda c: (c[0], c[1]))
         self.columns = cols
-        self.decision_column = train.decision_column
-        indices = list(range(len(self.records)))
+        self.decision_column = train.provenance.d, train.provenance.pos
+        indices = list(range(len(self.rows)))
         self.root = self._build(indices)
         self.default = _majority(Counter(self.classes), self.class_rank)
 
@@ -304,7 +342,7 @@ class ReferenceTree:
             if kind == "discrete":
                 groups: dict = {}
                 for i in indices:
-                    groups.setdefault(self.records[i][k], []).append(i)
+                    groups.setdefault(self.rows[i][k], []).append(i)
                 if len(groups) < 2:
                     continue
                 children = 0.0
@@ -327,13 +365,13 @@ class ReferenceTree:
                         "domain": domain,
                     }
             else:
-                ordered = sorted(indices, key=lambda i: self.records[i][k])
+                ordered = sorted(indices, key=lambda i: self.rows[i][k])
                 low_counts: Counter = Counter()
                 for cut in range(1, total):
                     i_prev, i_here = ordered[cut - 1], ordered[cut]
                     low_counts[self.classes[i_prev]] += 1
-                    v_prev = self.records[i_prev][k]
-                    v_here = self.records[i_here][k]
+                    v_prev = self.rows[i_prev][k]
+                    v_here = self.rows[i_here][k]
                     if v_prev == v_here:
                         continue
                     high_counts = counts - low_counts
@@ -385,10 +423,11 @@ class ReferenceTree:
         return out
 
     def accuracy(self, data) -> float:
-        """Fraction of `data.records` whose decision a root-to-leaf walk reproduces."""
-        positions = {column: k for k, column in enumerate(data.condition_columns)}
+        """Fraction of `data`'s rows whose decision a root-to-leaf walk reproduces."""
+        keys, rows = reference_window(data.source, data.provenance)
+        positions = {column: k for k, column in enumerate(keys)}
         hits = 0
-        for record in data.records:
+        for record in rows:
             node = self.root
             while node is not None and node[0] != "leaf":
                 value = record[positions[(node[1], node[2])]]
@@ -398,7 +437,7 @@ class ReferenceTree:
                     node = node[4] if value <= node[3] else node[5]
             predicted = self.default if node is None else node[1]
             hits += predicted == record[-1]
-        return hits / len(data.records)
+        return hits / len(rows)
 
 
 # --- reference judge ----------------------------------------------------------

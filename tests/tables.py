@@ -42,3 +42,12 @@ def csv_tables(draw, missing: bool = True, min_rows: int = 0):
             schema.append(AttributeSchema(name, "discrete", domain))
         columns.append(column)
     return schema, list(zip(*columns))
+
+
+def window_rows(window) -> tuple[tuple, ...]:
+    """The rows of a temporalised `window`, read through its columns.
+
+    Each row holds its condition values in field order, then its decision.
+    """
+    keys = (*window.condition_columns, window.decision_column)
+    return tuple(zip(*map(window.column, keys)))

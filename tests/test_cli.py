@@ -171,8 +171,7 @@ class TestGenerate:
             "--out", str(out),
         )
         assert code == 0
-        values = [v for (v,) in load_csv(out).records]  # reloads as numeric
-        assert values == [i % 8 for i in range(40)]
+        assert load_csv(out).columns == (tuple(i % 8 for i in range(40)),)  # reloads as numeric
 
     def test_robot_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["generate", "robot", "--out", "w.csv"])

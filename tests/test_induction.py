@@ -46,7 +46,8 @@ from oracles import (
     condition_holds,
     first_match,
     lookup_table_accuracy,
-    window_code_counts,
+    reference_window,
+    window_codes,
 )
 from tables import from_rows
 
@@ -313,10 +314,9 @@ class TestCounting:
         for w in range(1, min(5, data.n) + 1):
             for pos in range(1, w + 1):
                 window = temporalise(TemporalisationSpec(w=w, pos=pos, d="c0"), data)
-                classes, expected = window_code_counts(window)
-                expected[window.decision_column] = classes
-                for column, counts in expected.items():
-                    assert list(window.counts(column).items()) == counts, (w, pos, column)
+                for column, codes in window_codes(window).items():
+                    expected = list(Counter(codes).items())
+                    assert list(window.counts(column).items()) == expected, (w, pos, column)
 
 
 def spy_grow():
@@ -835,8 +835,9 @@ class TestInduce:
             ]
             train = flat_table(rows)
             rule_set = induce(train)
-            names = [column_name(a, t) for a, t in train.condition_columns]
-            for record in train.records:
+            keys, records = reference_window(train.source, train.provenance)
+            names = [column_name(a, t) for a, t in keys]
+            for record in records:
                 mapping = dict(zip(names, record))
                 fired = [
                     rule
@@ -883,9 +884,10 @@ class TestClassify:
         # classify routes down the tree; the oracle scans the rule list
         rule_set = induce(tables[0])
         for data in tables:
-            names = [column_name(a, t) for a, t in data.condition_columns]
+            keys, records = reference_window(data.source, data.provenance)
+            names = [column_name(a, t) for a, t in keys]
             hits = 0
-            for record in data.records:
+            for record in records:
                 mapping = dict(zip(names, record))
                 expected = first_match(rule_set.rules, rule_set.default_class, mapping)
                 assert classify(rule_set, mapping) == expected
@@ -962,10 +964,11 @@ class TestEvaluate:
 
 
 def first_match_accuracy(rule_set, data):
-    """The share of `data.records` whose decision `first_match` reproduces."""
-    names = [column_name(a, t) for a, t in data.condition_columns]
+    """The share of `data`'s rows whose decision `first_match` reproduces."""
+    keys, records = reference_window(data.source, data.provenance)
+    names = [column_name(a, t) for a, t in keys]
     hits = 0
-    for record in data.records:
+    for record in records:
         mapping = dict(zip(names, record))
         hits += first_match(rule_set.rules, rule_set.default_class, mapping) == record[-1]
     return hits / data.n

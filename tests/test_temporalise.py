@@ -1,4 +1,7 @@
+import ast
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,9 @@ from timerules.temporalise import (
     temporalised_record_count,
 )
 
-from oracles import csv_by_rows, window_code_counts
-from tables import csv_tables, from_rows
+import oracles
+from oracles import csv_by_rows, reference_window, window_codes
+from tables import csv_tables, from_rows, window_rows
 
 TABLE_ROWS = "1,2,4,true\n2,3,5,true\n6,7,8,false\n5,2,3,true\n"
 
@@ -55,7 +59,7 @@ class TestSpec:
 class TestWindowMerging:
     def test_forward_position(self, four_records):
         out = temporalise(TemporalisationSpec(w=3, pos=3, d="a4"), four_records)
-        assert out.records == (
+        assert window_rows(out) == (
             (1, 2, 4, "true", 2, 3, 5, "true", "false"),
             (2, 3, 5, "true", 6, 7, 8, "false", "true"),
         )
@@ -63,14 +67,14 @@ class TestWindowMerging:
 
     def test_position_one(self, four_records):
         out = temporalise(TemporalisationSpec(w=3, pos=1, d="a4"), four_records)
-        assert out.records == (
+        assert window_rows(out) == (
             (2, 3, 5, "true", 6, 7, 8, "false", "true"),
             (6, 7, 8, "false", 5, 2, 3, "true", "true"),
         )
 
     def test_position_two(self, four_records):
         out = temporalise(TemporalisationSpec(w=3, pos=2, d="a4"), four_records)
-        assert out.records == (
+        assert window_rows(out) == (
             (1, 2, 4, "true", 6, 7, 8, "false", "true"),
             (2, 3, 5, "true", 5, 2, 3, "true", "false"),
         )
@@ -84,8 +88,8 @@ class TestWindowMerging:
         out = temporalise(TemporalisationSpec(w=1, pos=1, d="a4"), four_records)
         assert out.n == 4
         assert out.condition_columns == (("a1", 1), ("a2", 1), ("a3", 1))
-        assert out.records[0] == (1, 2, 4, "true")
-        assert out.records[2] == (6, 7, 8, "false")
+        assert window_rows(out)[0] == (1, 2, 4, "true")
+        assert window_rows(out)[2] == (6, 7, 8, "false")
 
     def test_sequence_shorter_than_window(self, four_records):
         with pytest.raises(DataError, match="shorter than window"):
@@ -142,14 +146,13 @@ class TestProperties:
             else:
                 assert any(t > pos for t in times)
 
-            d_index = data.column_index(d)
-            for i, record in enumerate(out.records):
-                # re-split the flat record by time index; it must reproduce
-                # the source window values exactly
-                for (attr, t), value in zip(out.condition_columns, record):
-                    j = data.column_index(attr)
-                    assert data.records[i + t - 1][j] == value
-                assert record[-1] == data.records[i + pos - 1][d_index]
+            assert out.decision_column == (d, pos)
+            for attr, t in (*out.condition_columns, out.decision_column):
+                # row i of column (attr, t) is the source value of attr at
+                # record i + t - 1, the window's time t
+                source = data.columns[data.column_index(attr)]
+                for i, value in enumerate(out.column((attr, t))):
+                    assert source[i + t - 1] == value
 
     def test_window_one_field_count(self):
         rng = random.Random(6)
@@ -162,82 +165,50 @@ class TestProperties:
             assert out.field_count == m
 
 
-def brute_force_windows(data, w, pos, d):
-    """Flat records by slicing each window of w source records directly."""
-    j = data.column_index(d)
-    rows = []
-    for i in range(data.n - w + 1):
-        window = data.records[i : i + w]
-        if w == 1:
-            conditions = tuple(v for k, v in enumerate(window[0]) if k != j)
-        else:
-            conditions = tuple(
-                v for t, record in enumerate(window, 1) if t != pos for v in record
-            )
-        rows.append(conditions + (window[pos - 1][j],))
-    return tuple(rows)
-
-
 @st.composite
-def sequences_and_specs(draw):
-    n = draw(st.integers(1, 30))
-    m = draw(st.integers(1, 4))
-    data = random_sequence(random.Random(draw(st.integers(0, 2**32))), n, m)
-    w = draw(st.integers(1, n))
-    pos = draw(st.integers(1, w))
-    d = data.schema[draw(st.integers(0, m - 1))].name
-    return data, TemporalisationSpec(w=w, pos=pos, d=d)
-
-
-class TestBruteForce:
-    @settings(max_examples=200, deadline=None)
-    @given(sequences_and_specs())
-    def test_records_equal_window_slicing(self, case):
-        data, spec = case
-        out = temporalise(spec, data)
-        expected = brute_force_windows(data, spec.w, spec.pos, spec.d)
-        assert out.records == expected
-        keys = (*out.condition_columns, out.decision_column)
-        for k, key in enumerate(keys):
-            assert out.column(key) == tuple(record[k] for record in expected), key
-        assert out.n == len(expected)
-
-
-@st.composite
-def sequences_and_discrete_decisions(draw):
+def repetitive_tables(draw):
+    """1-12 rows over 1-4 attributes of three symbols or ten numbers, so values repeat."""
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 4))
     data = random_sequence(random.Random(draw(st.integers(0, 2**32))), n, m)
-    # random_sequence makes the even-numbered attributes discrete
-    d = data.schema[2 * draw(st.integers(0, (m - 1) // 2))].name
-    return data, d
+    return data.schema, list(zip(*data.columns))
 
 
-class TestCodes:
-    @settings(max_examples=100, deadline=None)
-    @given(sequences_and_discrete_decisions())
-    def test_codes_equal_a_plain_loop_over_the_window(self, case):
-        data, d = case
-        classes = data.attribute(d).domain
+def every_spec(data):
+    """Every (w, pos, d) that `data` has a window for."""
+    for d in data.attribute_names:
         for w in range(1, data.n + 1):
             for pos in range(1, w + 1):
-                out = temporalise(TemporalisationSpec(w=w, pos=pos, d=d), data)
-                decisions = out.column(out.decision_column)
-                class_codes = [classes.index(value) for value in decisions]
-                expected = {out.decision_column: class_codes}
-                for attr, t in out.condition_columns:
-                    symbols = data.attribute(attr).domain
-                    if symbols is None:
-                        symbols = sorted(set(data.columns[data.column_index(attr)]))
-                    expected[attr, t] = [
-                        symbols.index(value) * len(classes) + k
-                        for value, k in zip(out.column((attr, t)), class_codes)
-                    ]
-                class_counts, counts = window_code_counts(out)
-                counts[out.decision_column] = class_counts
-                for column, codes in expected.items():
-                    assert out.codes(column) == codes, (w, pos, column)
-                    assert list(out.counts(column).items()) == counts[column], (w, pos, column)
+                yield TemporalisationSpec(w=w, pos=pos, d=d)
+
+
+class TestWindowOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(table=st.one_of(repetitive_tables(), csv_tables(missing=False, min_rows=1)))
+    def test_columns_codes_and_counts_equal_the_reference_window(self, table):
+        # every (w, pos, d) of the table, against windows built row by row
+        schema, rows = table
+        data = from_rows(schema, rows)
+        for spec in every_spec(data):
+            out = temporalise(spec, data)
+            keys, expected = reference_window(data, spec)
+            assert out.condition_columns == tuple(keys), spec
+            assert out.decision_column == (spec.d, spec.pos)
+            assert out.n == len(expected)
+            for key, column in zip((*keys, out.decision_column), zip(*expected), strict=True):
+                assert out.column(key) == column, (spec, key)
+            if data.attribute(spec.d).kind == "discrete":
+                for key, codes in window_codes(out).items():
+                    assert out.codes(key) == codes, (spec, key)
+                    counts = list(Counter(codes).items())
+                    assert list(out.counts(key).items()) == counts, (spec, key)
+
+    def test_the_oracles_read_no_window_view(self):
+        # an oracle that reads a window through the library re-runs the code it checks
+        tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        views = {"records", "column", "codes", "counts", "condition_columns"}
+        assert not read & views
 
 
 class TestDump:
@@ -252,19 +223,17 @@ class TestDump:
             "a4@t3",
         ]
 
-    @settings(max_examples=200, deadline=None)
-    @given(table=csv_tables(missing=False, min_rows=1), data=st.data())
-    def test_bytes_match_a_row_by_row_writer(self, tmp_path_factory, table, data):
+    @settings(max_examples=100, deadline=None)
+    @given(table=csv_tables(missing=False, min_rows=1))
+    def test_bytes_match_a_row_by_row_writer(self, tmp_path_factory, table):
         schema, rows = table
-        w = data.draw(st.integers(1, len(rows)))
-        pos = data.draw(st.integers(1, w))
-        d = data.draw(st.sampled_from([attribute.name for attribute in schema]))
-        out = temporalise(TemporalisationSpec(w=w, pos=pos, d=d), from_rows(schema, rows))
+        data = from_rows(schema, rows)
         path = tmp_path_factory.mktemp("dump") / "dump.csv"
-        out.to_csv(path)
-        assert "records" not in vars(out)
-        header = [f"{a}@t{t}" for a, t in (*out.condition_columns, out.decision_column)]
-        assert path.read_bytes() == csv_by_rows(header, out.records)
+        for spec in every_spec(data):
+            temporalise(spec, data).to_csv(path)
+            keys, expected = reference_window(data, spec)
+            header = [column_name(*key) for key in (*keys, (spec.d, spec.pos))]
+            assert path.read_bytes() == csv_by_rows(header, expected), spec
 
     def test_column_name(self):
         assert column_name("x", 2) == "x@t2"

@@ -9,7 +9,7 @@ from timerules.worlds import (
     generate_robot_walk,
 )
 
-from oracles import first_match, periodic_labels
+from oracles import first_match, periodic_labels, reference_window
 
 
 def transition(x, y, action, width, height):
@@ -26,20 +26,21 @@ class TestRobotWalk:
     def test_forward_relation_is_deterministic_everywhere(self):
         config = RobotWorldConfig(steps=2000, seed=4)
         walk = generate_robot_walk(config)
-        rows = [(int(x), int(y), a) for x, y, a in walk.records]
+        rows = [(int(x), int(y), a) for x, y, a in zip(*walk.columns)]
         for (x, y, a), (nx, ny, _) in zip(rows, rows[1:]):
             assert (nx, ny) == transition(x, y, a, config.width, config.height)
 
     def test_positions_stay_on_board(self):
         config = RobotWorldConfig(width=5, height=3, steps=800, seed=1)
         walk = generate_robot_walk(config)
-        for x, y, _ in walk.records:
-            assert 1 <= int(x) <= 5
-            assert 1 <= int(y) <= 3
+        xs, ys, _ = walk.columns
+        assert {int(x) for x in xs} <= set(range(1, 6))
+        assert {int(y) for y in ys} <= set(range(1, 4))
 
     def test_clamp_holds_position_at_the_wall(self):
         config = RobotWorldConfig(steps=2000, seed=4)
-        rows = [(int(x), a) for x, _, a in generate_robot_walk(config).records]
+        xs, _, actions = generate_robot_walk(config).columns
+        rows = [(int(x), a) for x, a in zip(xs, actions)]
         clamped = [
             (x, nx) for (x, a), (nx, _) in zip(rows, rows[1:]) if x == 1 and a == "L"
         ]
@@ -48,18 +49,18 @@ class TestRobotWalk:
 
     def test_fixed_seed_reproduces_sequence(self):
         config = RobotWorldConfig(steps=10, seed=99)
-        assert generate_robot_walk(config).records == generate_robot_walk(config).records
+        assert generate_robot_walk(config).columns == generate_robot_walk(config).columns
         other = generate_robot_walk(RobotWorldConfig(steps=10, seed=100))
-        assert other.records != generate_robot_walk(config).records
+        assert other.columns != generate_robot_walk(config).columns
 
     def test_actions_within_alphabet(self):
         walk = generate_robot_walk(RobotWorldConfig(steps=200, seed=0))
-        assert {a for _, _, a in walk.records} <= set(ACTIONS)
+        assert set(walk.columns[2]) <= set(ACTIONS)
 
     def test_backward_prediction_is_ambiguous(self):
         # distinct previous positions reach the same position
         walk = generate_robot_walk(RobotWorldConfig(steps=2000, seed=4))
-        xs = [int(x) for x, _, _ in walk.records]
+        xs = [int(x) for x in walk.columns[0]]
         predecessors = {}
         for prev, here in zip(xs, xs[1:]):
             predecessors.setdefault(here, set()).add(prev)
@@ -80,7 +81,7 @@ class TestRobotWalk:
 class TestPeriodic:
     def test_two_full_cycles(self):
         series = generate_periodic(8, 16)
-        assert [v for (v,) in series.records] == [str(i % 8) for i in range(16)]
+        assert series.columns == (tuple(str(i % 8) for i in range(16)),)
 
     @pytest.mark.parametrize(
         ("period", "steps"), [(2, 2), (5, 5), (3, 10), (7, 100), (8, 40005)]
@@ -98,7 +99,8 @@ class TestPeriodic:
 
     def test_symmetric_neighbour_relation(self):
         period = 6
-        values = [int(v) for (v,) in generate_periodic(period, 60).records]
+        (labels,) = generate_periodic(period, 60).columns
+        values = [int(v) for v in labels]
         for prev, here in zip(values, values[1:]):
             assert here == (prev + 1) % period
             assert prev == (here - 1) % period
@@ -116,8 +118,9 @@ class TestPeriodic:
             )
             for nxt in range(period)
         )
-        names = [column_name(a, t) for a, t in backward.condition_columns]
-        for record in backward.records:
+        keys, records = reference_window(series, backward.provenance)
+        names = [column_name(a, t) for a, t in keys]
+        for record in records:
             # no default: every record must be matched by its own rule
             assert first_match(rules, None, dict(zip(names, record))) == record[-1]
 
