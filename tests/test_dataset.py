@@ -5,6 +5,7 @@ import re
 import string
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from timerules import dataset
 from timerules.dataset import (
     AttributeSchema,
     DataError,
@@ -20,8 +22,9 @@ from timerules.dataset import (
     load_csv,
     split_chronological,
 )
+from timerules.temporalise import TemporalisationSpec, temporalise
 
-from oracles import column_kind, csv_by_rows, first_bad_record
+from oracles import column_kind, csv_by_rows, first_bad_record, periodic_labels
 from tables import csv_tables, from_rows
 
 FOUR_RECORDS = "1,2,4,true\n2,3,5,true\n6,7,8,false\n5,2,3,true\n"
@@ -322,6 +325,112 @@ class TestLoadCsv:
         assert str(excinfo.value) == f"{path}: row {row} has {width} columns, expected 2"
 
 
+CHUNK = dataset._CHUNK_ROWS
+
+
+def chunk_rows(count):
+    """`count` rows of three columns: padded ints with gaps, symbols, and
+    numbers that a symbol in the last row makes discrete."""
+    last = count - 1
+    return [
+        [f" {i % 7}" if i % 5 else "?", "pq"[i % 2] + str(i % 3), "z" if i == last else str(i / 4)]
+        for i in range(count)
+    ]
+
+
+class TestChunkedLoading:
+    """`load_csv` moves rows into columns `_CHUNK_ROWS` at a time; no chunk boundary may show."""
+
+    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("header_mode", ["first-row-names", "positional"])
+    def test_a_file_loads_as_it_does_in_one_chunk(self, tmp_path, monkeypatch, count, header_mode):
+        rows = chunk_rows(count)
+        header = ["x", "s", "z"] if header_mode == "first-row-names" else None
+        path = tmp_path / "data.csv"
+        path.write_bytes(csv_by_rows(header, rows))
+        data = load_csv(path, header_mode=header_mode)
+        monkeypatch.setattr(dataset, "_CHUNK_ROWS", count + 1)
+        whole = load_csv(path, header_mode=header_mode)
+        assert data.schema == whole.schema
+        assert data.columns == whole.columns
+        assert [a.kind for a in data.schema] == ["numeric", "discrete", "discrete"]
+        for attribute, values, cells in zip(data.schema, data.columns, zip(*rows)):
+            tokens = [cell.strip() for cell in cells]
+            assert (attribute.kind, values) == column_kind(tokens)
+            if attribute.kind == "discrete":
+                assert attribute.domain == tuple(dict.fromkeys(t for t in tokens if t != "?"))
+
+    # data row CHUNK - 1 ends the first chunk and data row CHUNK starts the second
+    @pytest.mark.parametrize("at", [CHUNK - 1, CHUNK])
+    def test_a_quoted_newline_on_a_chunk_boundary(self, tmp_path, at):
+        rows = [[str(i), "a"] for i in range(2 * CHUNK)]
+        rows[at][1] = "two\nlines, one cell"
+        path = tmp_path / "data.csv"
+        path.write_bytes(csv_by_rows(["x", "c"], rows))
+        data = load_csv(path)
+        assert data.columns == (tuple(range(2 * CHUNK)), tuple(row[1] for row in rows))
+        assert data.schema[1].domain == ("a", "two\nlines, one cell")
+
+    @pytest.mark.parametrize("header_mode, first", [("first-row-names", 2), ("positional", 1)])
+    def test_a_wrong_width_row_in_the_second_chunk_is_named(self, tmp_path, header_mode, first):
+        rows = [[str(i), "a"] for i in range(3 * CHUNK)]
+        bad = CHUNK + 7
+        rows[bad].append("b")
+        rows[bad + 1] = ["1"]
+        # a quoted newline in the first chunk: rows are counted, not lines
+        rows[3][1] = "a\nb"
+        header = ["x", "c"] if header_mode == "first-row-names" else None
+        path = tmp_path / "data.csv"
+        path.write_bytes(csv_by_rows(header, rows))
+        with pytest.raises(DataError) as excinfo:
+            load_csv(path, header_mode=header_mode)
+        assert str(excinfo.value) == f"{path}: row {bad + first} has 3 columns, expected 2"
+
+    @pytest.mark.parametrize(
+        ("first", "later"),
+        [
+            ("wrong-width", "csv-error"),
+            ("wrong-width", "bad-byte"),
+            ("unnamed-header", "bad-byte"),
+            ("csv-error", "bad-byte"),
+        ],
+    )
+    def test_a_later_fault_of_a_higher_rank_is_reported(self, tmp_path, first, later):
+        # the later fault sits past the first chunks and the decoder's first 8 KB
+        limit = csv.field_size_limit()
+        faults = {
+            "wrong-width": (b"5,a,b", None),
+            "csv-error": (b"5," + b"b" * (limit + 1), "field larger than field limit"),
+            "bad-byte": (b"5,\xff", "is not UTF-8 text"),
+        }
+        header = b"x,c," if first == "unnamed-header" else b"x,c"
+        lines = [header, *(f"{i},a".encode() for i in range(4000))]
+        if first in faults:
+            lines[10] = faults[first][0]
+        lines[3000] = faults[later][0]
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError) as excinfo:
+            load_csv(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: line 3001")
+        assert faults[later][1] in message
+
+    def test_loading_holds_one_chunk_of_rows(self, tmp_path):
+        path = tmp_path / "periodic.csv"
+        path.write_bytes(csv_by_rows(["x"], ([label] for label in periodic_labels(8, 40_000))))
+        load_csv(path)
+        tracemalloc.start()
+        try:
+            data = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.n == 40_000
+        # holding every row peaked at 4.9 MB, one 256-row chunk at 0.76 MB
+        assert peak < 1.5e6
+
+
 class TestRoundTrip:
     def test_reserialise_is_value_identical(self, tmp_path):
         first = load_csv(write(tmp_path, "x,y,z\n1,2.5,ok\n?,3,no\n4,5,ok\n"))
@@ -449,6 +558,20 @@ class TestEventSequence:
         with pytest.raises(DataError) as excinfo:
             EventSequence(schema=schema, columns=columns)
         assert str(excinfo.value) == message
+
+    def test_pair_codes_of_a_numeric_decision_name_it(self):
+        schema = (AttributeSchema("x", "numeric"), AttributeSchema("c", "discrete", ("a", "b")))
+        data = EventSequence(schema=schema, columns=((1, 2.5, 1, 3), ("a", "b", "a", "b")))
+        window = temporalise(TemporalisationSpec(w=2, pos=2, d="x"), data)
+        reads = [
+            lambda: data.codes(("x", "c", 0)),
+            lambda: window.codes(("c", 1)),
+            lambda: window.counts(("c", 1)),
+        ]
+        for read in reads:
+            with pytest.raises(DataError) as excinfo:
+                read()
+            assert str(excinfo.value) == "pair codes need a discrete decision, but 'x' is numeric"
 
     def test_unknown_attribute(self):
         schema = (AttributeSchema("x", "numeric"),)
