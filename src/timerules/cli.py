@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args
 
-from .dataset import DataError, EventSequence, HeaderMode, load_csv, read_text
+from .dataset import DataError, EventSequence, HeaderMode, load_csv, read_text, rewrite_text
 from .temporalise import TemporalisationSpec, temporalise
 from .verdict import ACCURACY_MODES, INTERVAL_METHODS, PREFERENCES, RunSpec, run_timers
 from .worlds import RobotWorldConfig, generate_periodic, generate_robot_walk
@@ -172,7 +172,7 @@ def _generate(kind: str, config: dict) -> EventSequence:
 def _write_generated(kind: str, config: dict, data: EventSequence, out: Path) -> None:
     data.to_csv(out)
     manifest = {"kind": kind, "config": config, "csv": out.name, "rows": data.n}
-    with open(out.with_suffix(".manifest.json"), "w", encoding="utf-8") as handle:
+    with rewrite_text(out.with_suffix(".manifest.json")) as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
     print(f"wrote {data.n} records to {out}")
@@ -243,6 +243,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         list(data.attribute_names) if args.all_attributes else [args.decision]
     )
     specs = [replace(spec, d=name) for name in attributes]
+    # each report is written after its sweep, so its directory is checked before the first
+    folder = Path(f"{args.out}.txt").parent if args.out else None
+    if folder and not folder.is_dir():
+        raise DataError(
+            f"the report directory {str(folder)!r} of --out {args.out} "
+            "is missing or not a directory"
+        )
     if args.out and len(specs) > 1:
         # each report is written to <out>.<column>, which must stay one file name
         for name in attributes:

@@ -1,4 +1,6 @@
+import builtins
 import concurrent.futures
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 import timerules.cli
 import timerules.verdict
 from timerules.cli import build_parser, main, worker_count
-from timerules.dataset import load_csv
+from timerules.dataset import load_csv, write_csv
 from timerules.verdict import RunSpec, run_timers
 from timerules.worlds import RobotWorldConfig, generate_robot_walk
 
@@ -362,6 +364,29 @@ class TestAnalyze:
         assert stdout == ""  # no sweep ran
         assert list((tmp_path / "r.a").iterdir()) == []
 
+    @pytest.mark.parametrize("decision", [("--decision", "x"), ("--all-attributes",)])
+    @pytest.mark.parametrize("folder", ["missing", "a-file"])
+    def test_a_report_directory_that_is_missing_or_a_file_is_rejected_before_any_sweep(
+        self, robot_csv, tmp_path, capsys, decision, folder
+    ):
+        if folder == "a-file":
+            (tmp_path / folder).write_text("", encoding="utf-8")
+        out = tmp_path / folder / "r"
+        with mock.patch.object(
+            timerules.cli, "run_timers", wraps=timerules.cli.run_timers
+        ) as sweep:
+            code, stdout, err = run(
+                capsys, "analyze", "--data", str(robot_csv), *decision,
+                "--max-window", "2", "--test-count", "150", "--out", str(out),
+            )
+        assert code == 3
+        assert err == (
+            f"timerules: data error: the report directory {str(tmp_path / folder)!r} "
+            f"of --out {out} is missing or not a directory\n"
+        )
+        sweep.assert_not_called()
+        assert stdout == ""
+
     def test_no_verdict_still_exits_zero(self, robot_csv, capsys):
         code, stdout, _ = run(
             capsys, "analyze", "--data", str(robot_csv), "--decision", "x",
@@ -548,6 +573,66 @@ class TestTemporaliseDump:
             "--window", "2", "--position", "3", "--out", str(tmp_path / "d.csv"),
         )
         assert code == 2
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """The paths `os.open` and `open` are handed, and those of them that
+    already existed and were opened for truncation: by `os.open` with
+    `O_TRUNC`, or by `open` in a "w" mode."""
+    spy = SimpleNamespace(paths=[], truncated=[])
+    real_os_open, real_open = os.open, builtins.open
+
+    def os_open(path, flags, *args, **kwargs):
+        spy.paths.append(os.fspath(path))
+        if flags & os.O_TRUNC and os.path.exists(path):
+            spy.truncated.append(os.fspath(path))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def open_(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            spy.paths.append(os.fspath(file))
+            if "w" in mode and os.path.exists(file):
+                spy.truncated.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)
+    return spy
+
+
+class TestRewritesInPlace:
+    """A file the package writes over is not truncated when it is opened:
+    on ext4 that makes closing it wait for a flush to disk."""
+
+    def test_no_existing_file_is_opened_for_truncation(
+        self, robot_csv, tmp_path, capsys, opens
+    ):
+        table, walk, dump = (tmp_path / name for name in ("table.csv", "walk.csv", "dump.csv"))
+        for count in (500, 5):
+            write_csv(table, ["n"], [range(count)])
+        for steps in (300, 40):
+            generate_robot_walk(RobotWorldConfig(steps=steps)).to_csv(walk)
+        for steps in ("400", "60"):
+            code, _, _ = run(
+                capsys, "generate", "robot", "--steps", steps, "--out", str(robot_csv)
+            )
+            assert code == 0
+        for window in ("4", "3"):
+            code, _, _ = run(
+                capsys, "temporalise-dump", "--data", str(robot_csv), "--decision", "x",
+                "--window", window, "--position", "2", "--out", str(dump),
+            )
+            assert code == 0
+        manifest = robot_csv.with_suffix(".manifest.json")
+        assert opens.truncated == []
+        assert {str(path) for path in (table, walk, robot_csv, manifest, dump)} <= set(opens.paths)
+        assert table.read_text() == "n\n" + "".join(f"{i}\n" for i in range(5))
+        assert load_csv(walk).n == 40
+        assert load_csv(robot_csv).n == 60
+        assert json.loads(manifest.read_text())["rows"] == 60
+        assert load_csv(dump).m == 7 and load_csv(dump).n == 58
 
 
 # window ranges whose sweeps run 15 and 3 jobs

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import random
 import re
 import string
@@ -20,7 +21,9 @@ from timerules.dataset import (
     EventSequence,
     as_discrete,
     load_csv,
+    rewrite_text,
     split_chronological,
+    write_csv,
 )
 from timerules.temporalise import TemporalisationSpec, temporalise
 
@@ -468,15 +471,110 @@ class TestRoundTrip:
 
 class TestWriteCsv:
     @settings(max_examples=300, deadline=None)
-    @given(table=csv_tables())
-    def test_bytes_match_a_row_by_row_writer(self, tmp_path_factory, table):
+    @given(table=csv_tables(), stale=st.none() | st.integers(0, 2000))
+    def test_bytes_match_a_row_by_row_writer(self, tmp_path_factory, table, stale):
+        # written fresh, or over a file of `stale` bytes, longer or shorter than the table
         schema, rows = table
         data = from_rows(schema, rows)
         path = tmp_path_factory.mktemp("csv") / "out.csv"
+        if stale is not None:
+            path.write_bytes(b"Z\n" * (stale // 2) + b"Z" * (stale % 2))
         data.to_csv(path)
         assert "records" not in vars(data)
         names = [attribute.name for attribute in schema]
         assert path.read_bytes() == csv_by_rows(names, rows)
+
+    def test_a_column_that_raises_part_way_leaves_what_was_written_and_no_old_byte(
+        self, tmp_path
+    ):
+        def failing(count):
+            yield from range(count)
+            raise RuntimeError("column failed")
+
+        header, full = ["a", "b"], csv_by_rows(["a", "b"], zip(range(5000), range(5000)))
+        path, fresh = tmp_path / "old.csv", tmp_path / "fresh.csv"
+        path.write_bytes(b"Z" * (2 * len(full)))
+        with pytest.raises(RuntimeError, match="column failed"):
+            write_csv(path, header, [range(5000), failing(3000)])
+        # what `open(path, "w")` leaves: the rows before the failure, flushed at close
+        with pytest.raises(RuntimeError, match="column failed"):
+            with open(fresh, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(header)
+                writer.writerows(zip(map(str, range(5000)), map(str, failing(3000))))
+        written = path.read_bytes()
+        assert b"Z" not in written
+        assert written == fresh.read_bytes()
+        assert full.startswith(written) and len(written) > len(full) // 2
+
+
+class TestRewriteText:
+    """`rewrite_text` leaves what `open(path, "w")` leaves, without truncating at open."""
+
+    def rewrite(self, path, text):
+        with rewrite_text(path) as handle:
+            handle.write(text)
+
+    def test_a_shorter_rewrite_keeps_no_old_tail(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("old contents, longer than the new\n" * 100, encoding="utf-8")
+        self.rewrite(path, "new\n")
+        assert path.read_bytes() == ("new" + os.linesep).encode()
+
+    def test_a_longer_rewrite_and_a_new_file(self, tmp_path):
+        path = tmp_path / "t.txt"
+        self.rewrite(path, "é")
+        assert path.read_bytes() == "é".encode("utf-8")
+        self.rewrite(path, "ab" * 1000)
+        assert path.read_bytes() == b"ab" * 1000
+
+    def test_a_symlink_stays_a_link_and_its_target_takes_the_bytes(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("x\n" * 100, encoding="utf-8")
+        link.symlink_to(target)
+        write_csv(link, ["a"], [[1, 2]])
+        assert link.is_symlink()
+        assert target.read_bytes() == b"a\r\n1\r\n2\r\n"
+
+    def test_a_hard_link_sees_the_new_bytes(self, tmp_path):
+        path, other = tmp_path / "one.csv", tmp_path / "two.csv"
+        path.write_text("x\n" * 100, encoding="utf-8")
+        os.link(path, other)
+        write_csv(path, ["a"], [[None]])
+        assert other.read_bytes() == path.read_bytes() == b"a\r\n?\r\n"
+        assert path.stat().st_ino == other.stat().st_ino
+
+    def test_the_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x\n" * 100, encoding="utf-8")
+        path.chmod(0o640)
+        write_csv(path, ["a"], [[1]])
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_the_null_device_takes_writes(self):
+        write_csv(os.devnull, ["a"], [range(1000)])
+        self.rewrite(os.devnull, "text")
+        assert not os.path.isfile(os.devnull)
+
+    # a newline of the wrong type fails before the file object is made, a bad
+    # value after it
+    @pytest.mark.parametrize("newline, error", [(5, TypeError), ("bogus", ValueError)])
+    def test_the_descriptor_is_closed_when_no_text_wrapper_can_be_built(
+        self, tmp_path, monkeypatch, newline, error
+    ):
+        opened, real_open = [], os.open
+
+        def spy(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(os, "open", spy)
+        with pytest.raises(error, match="newline"):
+            with rewrite_text(tmp_path / "t.txt", newline=newline):
+                pass
+        (fd,) = opened
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 class TestSplit:
