@@ -251,12 +251,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "is missing or not a directory"
         )
     if args.out and len(specs) > 1:
-        # each report is written to <out>.<column>, which must stay one file name
+        # each report is written to <out>.<column>, which must stay one file
+        # name, and no path may hold NUL
         for name in attributes:
-            if any(sep in name for sep in (os.sep, os.altsep) if sep):
+            if any(sep in name for sep in (os.sep, os.altsep, "\0") if sep):
                 raise DataError(
-                    f"column {name!r} holds a path separator, so it cannot name "
-                    f"its report files {args.out}.<column>.txt/.json"
+                    f"column {name!r} holds a path separator or NUL, so it cannot "
+                    f"name its report files {args.out}.<column>.txt/.json"
                 )
     workers, warning = worker_count(
         os.environ.get("TIMERULES_MAX_WORKERS"), _usable_cpus()

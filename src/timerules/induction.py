@@ -5,10 +5,11 @@ split multiway on their full domain (value-absent branches become leaves
 carrying the node majority), numeric columns split between consecutive
 observed values, at their midpoint when it falls between them. Either
 kind is one split node, a tested column with a child per outcome, so
-only scoring a split and routing a row tell the kinds apart. The tree is
-the rule set: its root-to-leaf paths, read off on demand, are the rules,
-all sharing one decision column. A record is classified by the one leaf
-it reaches; a symbol no branch covers sends it to the default class.
+only scoring a split and routing a row tell the kinds apart. A leaf is
+its class label, as in C4.5. The tree is the rule set: its root-to-leaf
+paths, read off on demand, are the rules, all sharing one decision
+column. A record is classified by the one leaf it reaches; a symbol no
+branch covers sends it to the default class.
 
 The learner names a column only by its (attribute, time) key and reads
 the training window through two maps from keys, filled on first use:
@@ -46,9 +47,9 @@ order and subtract the same terms from 0.0 in it, so every score is the
 float a row-by-row scan gives. A one-class value's term, exactly 0.0,
 is skipped. A node of two rows below the root holds two classes and scores
 every live column exactly alike, so it splits on the first column in
-scan order whose two values differ, without counting. A tree holds one
-leaf object per class, and a node looks up its majority only when an
-empty branch or a leaf with no live column needs it.
+scan order whose two values differ, without counting. A node looks up
+its majority only when an empty branch or a leaf with no live column
+needs it.
 
 The sweep needs only a tree's leaf count, the columns it tests and its
 accuracy. The learner tallies them as it grows the tree: training rows
@@ -78,7 +79,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .dataset import DataError
+from .dataset import DataError, _first_bad_row
 from .temporalise import TemporalisedDataset, column_name
 
 _GAIN_EPS = 1e-12
@@ -194,13 +195,8 @@ class RuleSet:
         self.__dict__.update(state, tree=_unflatten(state["tree"]))
 
 
-# slotted to keep trees small: a robot walk's largest hold ~8,600 nodes;
-# frozen, as every leaf of a class in a tree is one shared object
-@dataclass(frozen=True, slots=True)
-class _Leaf:
-    value: object
-
-
+# a tree's leaves are class labels; slotted to keep trees small: a robot
+# walk's largest hold ~8,600 nodes
 @dataclass(slots=True)
 class _Split:
     key: tuple[str, int]  # the tested column, (attribute, time)
@@ -260,14 +256,13 @@ class _TreeBuilder:
     counts; any other node groups its rows' codes per live column. It
     tallies the tree's leaves, its training misses and the columns its
     splits test. Only a leaf with no live column misses: the others are
-    pure or, on an empty branch, hold no training row. Every leaf of a
-    class is that class's one `_Leaf` in `leaf_of`.
+    pure or, on an empty branch, hold no training row. A leaf is its
+    class's label in `classes`, so all leaves of a class are one object.
     """
 
     def __init__(self, train: TemporalisedDataset):
         self.train = train
         self.classes = _classes(train)
-        self.leaf_of = [_Leaf(value) for value in self.classes]  # by class code
         # scan order breaks only float-equal ties: lowest (attribute, time) wins (ROADMAP item 1)
         self.columns = [
             (key, train.source.attribute(key[0]).domain)
@@ -281,10 +276,10 @@ class _TreeBuilder:
         self.misses = 0
         self.tested: set[tuple[str, int]] = set()
 
-    def majority(self, counts: dict[int, int]) -> _Leaf:
-        """The leaf of the most frequent class in `counts`, the lowest code of tied ones."""
+    def majority(self, counts: dict[int, int]) -> object:
+        """The most frequent class in `counts`, the lowest code of tied ones."""
         best = max(counts.values())
-        return self.leaf_of[min(k for k, c in counts.items() if c == best)]
+        return self.classes[min(k for k, c in counts.items() if c == best)]
 
     def build(self, indices: Sequence[int], columns: list[tuple], counts: dict[int, int]):
         """The tree over rows `indices`, grown one `_grow` call per node from a stack."""
@@ -304,8 +299,8 @@ class _TreeBuilder:
         The rows, a `range` at the root, hold at least two classes, and
         `counts` are their class counts in first-appearance order. Each
         child inherits its class counts from the winning split: one that
-        holds one class becomes its class's shared leaf and is not grown,
-        and an empty discrete branch the leaf of the node's majority class,
+        holds one class becomes a leaf, its class's label, and is not
+        grown, and an empty discrete branch the node's majority class,
         which is looked up only when such a branch, or a node no column
         splits, needs it. Any other child is pushed on `stack` as
         `(branches, outcome, rows, live columns, counts)` and holds None in
@@ -360,7 +355,7 @@ class _TreeBuilder:
                     branches[symbol] = empty
                 elif len(group) == 1:
                     (klass,) = group
-                    branches[symbol] = self.leaf_of[klass]
+                    branches[symbol] = self.classes[klass]
                 else:
                     if by_symbol is None:
                         values = self.values[key]
@@ -372,10 +367,10 @@ class _TreeBuilder:
         self.leaves += len(branches) - 1
         return _Split(key, threshold, branches)
 
-    def _pure_leaf(self, counts: dict[int, int]) -> _Leaf | None:
-        """The leaf of the one class `counts` hold, or None if they hold more."""
+    def _pure_leaf(self, counts: dict[int, int]) -> object:
+        """The one class `counts` hold, or None if they hold more."""
         if len(counts) == 1:
-            return self.leaf_of[next(iter(counts))]
+            return self.classes[next(iter(counts))]
         return None
 
     def _by_value(self, key, gather) -> dict[int, dict[int, int]]:
@@ -553,14 +548,14 @@ class _TreeBuilder:
 
 
 def _leaves(node, columns: Mapping, indices: list[int]):
-    """Yield (leaf value, rows reaching that leaf) for the rows `indices`.
+    """Yield (leaf label, rows reaching that leaf) for the rows `indices`.
 
     `columns` maps a column's key to its values. Rows whose symbol has no
-    branch leave the tree, with value None. Every part keeps the order of
+    branch leave the tree, with label None. Every part keeps the order of
     `indices`, and a discrete split's parts that of its branches.
     """
-    if isinstance(node, _Leaf):
-        yield node.value, indices
+    if not isinstance(node, _Split):
+        yield node, indices
         return
     stack = [(node, indices)]
     while stack:
@@ -584,14 +579,14 @@ def _leaves(node, columns: Mapping, indices: list[int]):
         for child, rows in zip(node.branches.values(), parts):
             if not rows:
                 continue
-            if isinstance(child, _Leaf):
-                yield child.value, rows
-            else:
+            if isinstance(child, _Split):
                 stack.append((child, rows))
+            else:
+                yield child, rows
 
 
 def _extract_rules(node):
-    """Yield (conditions, leaf value) per leaf below `node`, in branch order.
+    """Yield (conditions, leaf label) per leaf below `node`, in branch order.
 
     A split pushes its branches on the stack last first, so the walk is
     depth first in branch order.
@@ -599,8 +594,8 @@ def _extract_rules(node):
     stack = [(node, ())]
     while stack:
         node, path = stack.pop()
-        if isinstance(node, _Leaf):
-            yield path, node.value
+        if not isinstance(node, _Split):
+            yield path, node
             continue
         for outcome, child in reversed(node.branches.items()):
             if node.threshold is None:
@@ -612,31 +607,27 @@ def _extract_rules(node):
 
 
 def _flatten(tree) -> tuple:
-    """`tree`'s nodes in preorder: a leaf as `(value,)`, a split as `(key, threshold, outcomes)`."""
+    """`tree`'s nodes in preorder: a leaf as `(label,)`, a split as `(key, threshold, outcomes)`."""
     nodes = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, _Leaf):
-            nodes.append((node.value,))
-        else:
+        if isinstance(node, _Split):
             nodes.append((node.key, node.threshold, tuple(node.branches)))
             stack.extend(reversed(node.branches.values()))
+        else:
+            nodes.append((node,))
     return tuple(nodes)
 
 
 def _unflatten(nodes: Iterable[tuple]):
-    """The tree `_flatten` gave `nodes` for, with one leaf object per class."""
-    leaf_of: dict = {}
+    """The tree `_flatten` gave `nodes` for."""
     top: dict = {}
     stack = [(top, None)]  # the branches each next node fills, in preorder
     for node in nodes:
         branches, outcome = stack.pop()
         if len(node) == 1:
-            leaf = leaf_of.get(node)
-            if leaf is None:
-                leaf = leaf_of[node] = _Leaf(*node)
-            node = leaf
+            (node,) = node
         else:
             node = _Split(node[0], node[1], dict.fromkeys(node[2]))
             stack.extend((node.branches, o) for o in reversed(node.branches))
@@ -648,10 +639,12 @@ def induce(train: TemporalisedDataset) -> RuleSet:
     """Grow a gain-ratio tree over `train`; its leaf paths are the rules."""
     builder = _TreeBuilder(train)
     counts = train.counts(train.decision_column)
-    tree = builder._pure_leaf(counts) or builder.build(range(train.n), builder.columns, counts)
+    tree = builder._pure_leaf(counts)
+    if tree is None:  # a label may be falsy, as a CSV's empty cell is ""
+        tree = builder.build(range(train.n), builder.columns, counts)
     return RuleSet(
         tree=tree,
-        default_class=builder.majority(counts).value,
+        default_class=builder.majority(counts),
         size=builder.leaves,
         tested=frozenset(builder.tested),
         training_hits=train.n - builder.misses,
@@ -666,14 +659,21 @@ def _reject_missing_columns(required, available, where: str) -> None:
 
 
 def classify(rule_set: RuleSet, record: Mapping[str, object]) -> object:
-    """The value of the leaf `record` reaches, else the default class.
+    """The label of the leaf `record` reaches, else the default class.
 
     The record maps column names like "x@t1" to values and must carry
-    every column the tree tests.
+    every column the tree tests, a column tested against a threshold
+    holding an int or a finite float.
     """
     names = {(a, t): column_name(a, t) for a, t in rule_set.tested}
     columns = {key: (record[name],) for key, name in names.items() if name in record}
     _reject_missing_columns(names, columns, "record")
+    for key in sorted(columns):
+        attribute = rule_set.train.source.attribute(key[0])
+        if attribute.kind == "numeric":
+            (value,) = column = columns[key]
+            if value is None or _first_bad_row(attribute, column) is not None:
+                raise DataError(f"record column {names[key]} expects a number, got {value!r}")
     ((value, _),) = _leaves(rule_set.tree, columns, [0])
     return rule_set.default_class if value is None else value
 
@@ -705,16 +705,16 @@ def evaluate(rule_set: RuleSet, data: TemporalisedDataset) -> float:
     if data is rule_set.train:
         return rule_set.training_hits / data.n
     tree, default = rule_set.tree, rule_set.default_class
-    if isinstance(tree, _Leaf):
+    if not isinstance(tree, _Split):
         counts = data.counts(data.decision_column)
-        return sum(c for k, c in counts.items() if classes[k] == tree.value) / data.n
+        return sum(c for k, c in counts.items() if classes[k] == tree) / data.n
     hits = 0
     if tree.threshold is None and not any(isinstance(c, _Split) for c in tree.branches.values()):
         domain = data.source.attribute(tree.key[0]).domain
         for pair, c in data.counts(tree.key).items():
             value, klass = divmod(pair, len(classes))
             child = tree.branches.get(domain[value])
-            if classes[klass] == (default if child is None else child.value):
+            if classes[klass] == (default if child is None else child):
                 hits += c
         return hits / data.n
     decisions = data.column(data.decision_column)

@@ -75,13 +75,11 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class AccuracyInterval:
-    """A two-sided confidence interval around an observed accuracy."""
+    """A two-sided confidence interval around an observed accuracy on `n` records."""
 
-    center: float
     lo: float
     hi: float
     n: int
-    cl: float
 
     def overlaps(self, other: "AccuracyInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -117,9 +115,7 @@ def compute_accuracy_interval(
             accuracy * (1.0 - accuracy) / n + z * z / (4 * n * n)
         )
         lo, hi = center - margin, center + margin
-    return AccuracyInterval(
-        center=accuracy, lo=max(0.0, lo), hi=min(1.0, hi), n=n, cl=cl
-    )
+    return AccuracyInterval(lo=max(0.0, lo), hi=min(1.0, hi), n=n)
 
 
 @dataclass(frozen=True)

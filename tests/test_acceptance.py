@@ -126,9 +126,7 @@ def test_criterion_3_reclassified_outcomes_exist(robot_report):
 
 def test_criterion_4_selection_worked_example():
     def candidate(kind, accuracy, lo, hi):
-        return Candidate(
-            kind, accuracy, 10, AccuracyInterval(accuracy, lo, hi, n=100, cl=0.9)
-        )
+        return Candidate(kind, accuracy, 10, AccuracyInterval(lo, hi, n=100))
 
     selection = select_relation(
         [

@@ -364,6 +364,21 @@ class TestAnalyze:
         assert stdout == ""  # no sweep ran
         assert list((tmp_path / "r.a").iterdir()) == []
 
+    def test_column_name_with_a_nul_is_rejected_before_any_sweep(self, tmp_path, capsys):
+        # no path may hold NUL; before Python 3.11 the csv module refuses it
+        path = tmp_path / "nul.csv"
+        rows = "".join(f"{i % 3},{'ab'[i % 2]}\n" for i in range(30))
+        path.write_text("a\0b,c\n" + rows, encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "analyze", "--data", str(path), "--all-attributes",
+            "--max-window", "2", "--out", str(tmp_path / "r"),
+        )
+        assert code == 3
+        assert stdout == ""  # no sweep ran
+        assert list(tmp_path.glob("r*")) == []
+        if sys.version_info >= (3, 11):
+            assert "column 'a\\x00b' holds a path separator or NUL" in err
+
     @pytest.mark.parametrize("decision", [("--decision", "x"), ("--all-attributes",)])
     @pytest.mark.parametrize("folder", ["missing", "a-file"])
     def test_a_report_directory_that_is_missing_or_a_file_is_rejected_before_any_sweep(

@@ -24,7 +24,7 @@ from timerules.induction import (
     _TERMS,
     Condition,
     Rule,
-    _Leaf,
+    _Split,
     _TreeBuilder,
     _entropy,
     classify,
@@ -402,7 +402,7 @@ class TestCodeFetching:
         spec = TemporalisationSpec(w=2, pos=2, d="c")
         train = temporalise(spec, data)
         rule_set = induce(train)
-        assert not all(isinstance(child, _Leaf) for child in rule_set.tree.branches.values())
+        assert any(isinstance(child, _Split) for child in rule_set.tree.branches.values())
         with spy_codes() as codes, spy_column() as column:
             accuracy = evaluate(rule_set, train)
         assert codes.call_count == column.call_count == 0
@@ -506,8 +506,8 @@ class TestPureChildren:
         assume(inherited)
 
     def test_every_leaf_of_a_class_is_one_object(self):
-        # a noise tree has dozens of leaves: pure children, empty
-        # branches and leaves with no live column all share their class's leaf
+        # a noise tree has dozens of leaves: pure children, empty branches
+        # and leaves with no live column are each their class's domain symbol
         rng = random.Random(3)
         schema = (
             AttributeSchema("u", "discrete", ("p", "q", "r", "s")),
@@ -517,19 +517,20 @@ class TestPureChildren:
         rows = [(rng.choice("pqrs"), rng.choice("pqrs"), rng.choice(CLASS_POOL)) for _ in range(300)]
         train = temporalise(TemporalisationSpec(w=2, pos=2, d="k"), from_rows(schema, rows))
         rule_set = induce(train)
-        leaves: dict = {}
+        domain = schema[-1].domain
+        leaves = set()
 
         def walk(node):
-            if isinstance(node, _Leaf):
-                leaves.setdefault(node.value, set()).add(id(node))
-            else:
+            if isinstance(node, _Split):
                 for child in node.branches.values():
                     walk(child)
+            else:
+                assert node is domain[domain.index(node)]
+                leaves.add(node)
 
         walk(rule_set.tree)
         assert rule_set.size > 40
         assert sorted(leaves) == sorted(CLASS_POOL)
-        assert all(len(ids) == 1 for ids in leaves.values())
 
 
 class TestExactTerms:
@@ -695,10 +696,10 @@ class TestDeepTrees:
         leaves, stack = set(), [copy.tree]
         while stack:
             node = stack.pop()
-            if isinstance(node, _Leaf):
-                leaves.add(id(node))
-            else:
+            if isinstance(node, _Split):
                 stack.extend(node.branches.values())
+            else:
+                leaves.add(id(node))
         assert len(leaves) == 2
 
 
@@ -874,6 +875,30 @@ class TestClassify:
         with pytest.raises(DataError, match="a@t1"):
             classify(self.forward_rule_set(), {"x@t1": "1"})
 
+    def mixed_rule_set(self):
+        # c1@t1=q says A; c1@t1=p asks whether c0@t1 <= 2.5
+        rows = [
+            (1, "p", "A"), (2, "p", "A"), (3, "p", "B"), (3, "q", "A"),
+            (4, "p", "B"), (4, "q", "A"), (5, "q", "A"),
+        ]
+        return induce(flat_table(rows, kinds=["numeric", "discrete", "discrete"]))
+
+    @pytest.mark.parametrize("value", ["3", None, math.nan, math.inf, -math.inf, b"3"], ids=repr)
+    def test_a_threshold_column_holding_no_finite_number_is_rejected(self, value):
+        # "3" and None cannot be ordered against the threshold, and nan
+        # would fall to the high side of any
+        message = f"record column c0@t1 expects a number, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            classify(self.mixed_rule_set(), {"c0@t1": value, "c1@t1": "p"})
+
+    def test_a_threshold_column_takes_ints_bools_and_finite_floats(self):
+        rule_set = self.mixed_rule_set()
+        assert rule_set.render().splitlines()[0] == "IF c0@t1<=2.5 AND c1@t1=p THEN k@t1=A"
+        for value, expected in [(True, "A"), (2, "A"), (2.75, "B"), (-1e308, "A"), (10**400, "B")]:
+            assert classify(rule_set, {"c0@t1": value, "c1@t1": "p"}) == expected
+        # a symbol no branch covers still goes to the default class
+        assert classify(rule_set, {"c0@t1": 4, "c1@t1": "zz"}) == rule_set.default_class == "A"
+
     @settings(
         max_examples=150,
         deadline=None,
@@ -963,6 +988,58 @@ class TestEvaluate:
             evaluate(rule_set, data)
 
 
+class TestEmptyLabel:
+    # a CSV's empty cell is the symbol "", a falsy class label that a tree
+    # must still treat as a leaf and a prediction
+
+    def test_an_all_empty_decision_window_is_a_leaf_root(self, tmp_path):
+        # c varies, so a learner that took the falsy leaf for "no leaf"
+        # would split on it
+        path = tmp_path / "empty.csv"
+        path.write_text("c,k\np,\nq,\np,\n", encoding="utf-8")
+        train = temporalise(TemporalisationSpec(w=1, pos=1, d="k"), load_csv(path))
+        rule_set = induce(train)
+        assert rule_set.tree == "" and rule_set.size == 1
+        assert rule_set.tested == frozenset()
+        assert rule_set.render() == "IF TRUE THEN k@t1="
+        assert classify(rule_set, {}) == ""
+        assert evaluate(rule_set, train) == 1.0
+        schema = (
+            AttributeSchema("c", "discrete", ("p", "q")),
+            AttributeSchema("k", "discrete", ("x", "")),
+        )
+        data = held_out(schema, [("p", "x"), ("q", ""), ("p", ""), ("q", "x")])
+        assert evaluate(rule_set, data) == first_match_accuracy(rule_set, data) == 0.5
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_an_empty_label_is_a_prediction_not_a_stray(self, deep):
+        # B is the default class, so a "" leaf read as a stray would score as B;
+        # the one-level tree is scored from counts, the deeper one by routing
+        rows = [("p", "x", ""), ("q", "x", "B"), ("q", "y", "B")]
+        if deep:
+            rows += [("r", "x", ""), ("r", "y", "B")]
+        rule_set = induce(flat_table(rows))
+        assert rule_set.default_class == "B"
+        assert any(isinstance(child, _Split) for child in rule_set.tree.branches.values()) == deep
+        assert classify(rule_set, {"c0@t1": "p", "c1@t1": "x"}) == ""
+        assert classify(rule_set, {"c0@t1": "zz", "c1@t1": "x"}) == "B"
+        schema = (
+            AttributeSchema("c0", "discrete", ("zz", "r", "q", "p")),
+            AttributeSchema("c1", "discrete", ("y", "x")),
+            AttributeSchema("k", "discrete", ("B", "")),
+        )
+        held = [("p", "y", ""), ("p", "x", ""), ("r", "x", ""), ("zz", "x", ""), ("q", "x", "B")]
+        data = held_out(schema, held)
+        assert evaluate(rule_set, data) == first_match_accuracy(rule_set, data) == 3 / 5
+
+    def test_an_empty_label_survives_a_pickle_round_trip(self):
+        for rows in ([("p", ""), ("q", "")], [("p", ""), ("q", "B"), ("q", "B")]):
+            rule_set = induce(flat_table(rows))
+            copy = pickle.loads(pickle.dumps(rule_set))
+            assert copy == rule_set and hash(copy) == hash(rule_set)
+            assert copy.render() == rule_set.render()
+
+
 def first_match_accuracy(rule_set, data):
     """The share of `data`'s rows whose decision `first_match` reproduces."""
     keys, records = reference_window(data.source, data.provenance)
@@ -1001,8 +1078,8 @@ class TestRootScoring:
         assert rule_set.default_class == "A"
         root = rule_set.tree
         assert root.key == ("c0", 1)
-        leaves = [isinstance(child, _Leaf) for child in root.branches.values()]
-        assert leaves == [True, False, True]
+        splits = [isinstance(child, _Split) for child in root.branches.values()]
+        assert splits == [False, True, False]
         schema = (
             AttributeSchema("c0", "discrete", ("s", "r", "q", "p")),
             AttributeSchema("c1", "discrete", ("y", "x")),
@@ -1038,7 +1115,7 @@ class TestRootScoring:
     def test_a_single_leaf_root(self):
         train = flat_table([("A",), ("B",), ("B",)], names=["k"])
         rule_set = induce(train)
-        assert isinstance(rule_set.tree, _Leaf) and rule_set.tree.value == "B"
+        assert rule_set.tree == "B"
         schema = (AttributeSchema("k", "discrete", ("A", "C", "B")),)
         rows = [("A",), ("B",), ("C",), ("B",)]
         self.assert_oracles_agree(train, held_out(schema, rows), 2 / 4)

@@ -32,13 +32,12 @@ I, A, P = RelationKind.INSTANTANEOUS, RelationKind.ACAUSAL, RelationKind.P_CAUSA
 M = RelationKind.MIXED
 
 
-def interval(lo, hi, center=None, n=100, cl=0.9):
-    return AccuracyInterval(center=center if center is not None else (lo + hi) / 2,
-                            lo=lo, hi=hi, n=n, cl=cl)
+def interval(lo, hi):
+    return AccuracyInterval(lo=lo, hi=hi, n=100)
 
 
 def candidate(kind, accuracy, lo, hi, size=10):
-    return Candidate(kind, accuracy, size, interval(lo, hi, center=accuracy))
+    return Candidate(kind, accuracy, size, interval(lo, hi))
 
 
 class TestAccuracyInterval:
@@ -46,7 +45,7 @@ class TestAccuracyInterval:
         out = compute_accuracy_interval(0.80, 100, 0.95)
         assert out.lo == pytest.approx(0.7216, abs=1e-4)
         assert out.hi == pytest.approx(0.8784, abs=1e-4)
-        assert out.center == 0.80
+        assert out.n == 100
 
     def test_degenerate_accuracies_have_zero_width(self):
         for accuracy in (0.0, 1.0):
